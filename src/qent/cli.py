@@ -60,11 +60,11 @@ def _load_state(path: str) -> states.PureState:
         _fail(1, f"invalid state in {path}: {exc}")
 
 
-def _parse_subset(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        _fail(1, f"cannot parse subset {text!r}; expected comma-separated integers")
+        _fail(1, f"cannot parse {option} {text!r}; expected comma-separated integers")
 
 
 @click.group()
@@ -216,7 +216,7 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     """Sample the measurement protocol, or run subset-purity / convergence runs."""
     state = _load_state(statefile)
     if subset is not None:
-        indices = _parse_subset(subset)
+        indices = _parse_ints(subset, "--subset")
         try:
             direct = protocol.subset_purity_direct(state, indices)
             feasible = len(indices) + 2 * state.n_qubits <= protocol.FULL_JOINT_MAX_QUBITS
@@ -236,7 +236,7 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
         _emit(doc, lines, as_json, out)
         return
     if sweep is not None:
-        counts = _parse_subset(sweep)
+        counts = _parse_ints(sweep, "--sweep")
         try:
             rows = protocol.convergence_sweep(state, counts, seed)
         except ValueError as exc:

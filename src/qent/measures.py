@@ -11,9 +11,11 @@ vectors,
     Q = (4/n) sum_k D_k.
 
 The purity route uses Q = 2 (1 - mean_k Tr[rho_k^2]).  Both are exposed so
-each can serve as an oracle for the other; D is evaluated as the literal
-pairwise sum, never via the Lagrange identity D = <u|u><v|v> - |<u|v>|^2,
-which the tests use as an independent check.
+each can serve as an oracle for the other.  D is evaluated from the pairwise
+terms themselves: the matrix u v^T - v u^T is antisymmetric with a zero
+diagonal, so its squared Frobenius norm counts every i<j term twice and
+D = 1/2 ||u v^T - v u^T||_F^2.  It is never taken from the Lagrange identity
+D = <u|u><v|v> - |<u|v>|^2, which the tests use as an independent check.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ def wedge_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
         raise ValueError("vectors must be nonempty")
     cross = np.outer(u, v)
     cross = cross - cross.T
-    i, j = np.triu_indices(u.size, k=1)
-    return float(np.sum(np.abs(cross[i, j]) ** 2))
+    # antisymmetric with zero diagonal: the i<j terms are half of all terms
+    return float(0.5 * np.vdot(cross, cross).real)
 
 
 def q_direct(state: PureState) -> float:

@@ -200,15 +200,17 @@ def joint_outcome_distribution(state: PureState) -> np.ndarray:
 
 def q_protocol_sampled(run: ProtocolRun) -> EstimatorStats:
     """Monte Carlo estimate of Q from per-trial counts of "1" ancillas."""
-    if run.state.n_qubits < 2:
+    return _estimate(sample_outcomes(run))
+
+
+def _estimate(outcomes: np.ndarray) -> EstimatorStats:
+    """Mean and standard error of the per-trial Q = (4/n) * count of "1"s."""
+    n_trials, n = outcomes.shape
+    if n < 2:
         raise ValueError("protocol Q is defined for n >= 2 qubits")
-    per_trial = 4.0 / run.state.n_qubits * sample_outcomes(run).sum(axis=1)
-    estimate = float(per_trial.mean())
-    if run.n_trials > 1:
-        std_error = float(per_trial.std(ddof=1) / np.sqrt(run.n_trials))
-    else:
-        std_error = 0.0
-    return EstimatorStats(estimate, std_error, run.n_trials)
+    per_trial = 4.0 / n * outcomes.sum(axis=1)
+    std_error = float(per_trial.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
+    return EstimatorStats(float(per_trial.mean()), std_error, n_trials)
 
 
 def convergence_sweep(
@@ -235,10 +237,16 @@ def convergence_sweep(
 # subset purity via an entangled control register
 
 
-def subset_purity_direct(state: PureState, subset) -> float:
-    """Tr[rho_subset^2] by partial trace."""
-    subset = check_subset(subset, state.n_qubits)
+def subset_purity_exact(state: PureState, subset) -> float:
+    """Tr[rho_subset^2] by partial trace.
+
+    ``subset_purity_circuit`` computes the same value by simulating the
+    protocol's circuit and serves as its independent oracle.
+    """
     return purity(reduced_density(state, subset))
+
+
+subset_purity_direct = subset_purity_exact
 
 
 def subset_purity_circuit(state: PureState, subset) -> float:
@@ -275,23 +283,6 @@ def subset_purity_circuit(state: PureState, subset) -> float:
     return 2.0 * p_plus - 1.0
 
 
-def subset_purity_exact(state: PureState, subset, atol: float = 1e-9) -> float:
-    """Subset purity by partial trace, cross-checked against the circuit.
-
-    The circuit route runs whenever it fits the dense-vector bound; a
-    disagreement beyond ``atol`` is an internal inconsistency and raises.
-    """
-    subset = check_subset(subset, state.n_qubits)
-    direct = subset_purity_direct(state, subset)
-    if len(subset) + 2 * state.n_qubits <= FULL_JOINT_MAX_QUBITS:
-        circuit = subset_purity_circuit(state, subset)
-        if abs(circuit - direct) > atol:
-            raise RuntimeError(
-                f"purity routes disagree: direct {direct!r} vs circuit {circuit!r}"
-            )
-    return direct
-
-
 # ---------------------------------------------------------------------------
 # result export
 
@@ -299,20 +290,15 @@ def subset_purity_exact(state: PureState, subset, atol: float = 1e-9) -> float:
 def run_report(run: ProtocolRun, state_ref: str | None = None) -> dict:
     """JSON-ready summary of a sampled run."""
     outcomes = sample_outcomes(run)
-    n = run.state.n_qubits
-    per_trial = 4.0 / n * outcomes.sum(axis=1)
-    estimate = float(per_trial.mean())
-    std_error = (
-        float(per_trial.std(ddof=1) / np.sqrt(run.n_trials)) if run.n_trials > 1 else 0.0
-    )
+    stats = _estimate(outcomes)
     return {
-        "state": state_ref if state_ref is not None else f"<{n}-qubit state>",
+        "state": state_ref if state_ref is not None else f"<{run.state.n_qubits}-qubit state>",
         "mode": run.mode,
         "seed": run.seed,
         "n_trials": run.n_trials,
         "p_minus_per_qubit": [float(f) for f in outcomes.mean(axis=0)],
-        "q_estimate": estimate,
-        "std_error": std_error,
+        "q_estimate": stats.estimate,
+        "std_error": stats.std_error,
     }
 
 

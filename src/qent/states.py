@@ -6,7 +6,9 @@ state |b_0 b_1 ... b_{n-1}> sits at index sum_k b_k * 2**(n-1-k).  This
 matches ``amplitudes.reshape([2] * n)`` with axis k belonging to qubit k.
 
 States and matrices are validated on construction and frozen afterwards
-(read-only numpy buffers); every operation returns a fresh object.
+(read-only numpy buffers); every operation returns a fresh object.  The
+tolerance checks are written as ``not deviation <= tol`` so that a NaN
+entry fails them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class PureState:
                 f"expected 2**{self.n_qubits} = {2**self.n_qubits}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -74,10 +76,10 @@ class DensityMatrix:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         mat = _frozen_complex_array(self.entries, (self.dim, self.dim))
         dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITIAN_ATOL:
+        if not dev <= HERMITIAN_ATOL:
             raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
         lo = float(np.min(np.linalg.eigvalsh(mat)))
         if lo < EIGENVALUE_FLOOR:
@@ -120,7 +122,7 @@ def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
     for k, f in enumerate(factors):
         if f.size != 2:
             raise ValueError(f"factor {k} has length {f.size}, expected 2")
-        if abs(np.linalg.norm(f) - 1.0) > NORM_ATOL:
+        if not abs(np.linalg.norm(f) - 1.0) <= NORM_ATOL:
             raise ValueError(f"factor {k} is not normalized")
         amps = np.kron(amps, f)
     return PureState(len(factors), amps)

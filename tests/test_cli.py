@@ -131,6 +131,13 @@ class TestQ:
         invoke(runner, "gen", "ghz", "--n", 2, "--out", path)
         assert invoke(runner, "q", path, "--frobnicate").exit_code == 2
 
+    def test_nan_state_exits_1(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n_qubits": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 1
+        assert "norm" in result.output
+
 
 class TestVerify:
     def test_cswap_fixed_sign(self, runner):
@@ -223,6 +230,25 @@ class TestProtocol:
         lines = csv_out.read_text().strip().split("\n")
         assert lines[0] == "n_trials,abs_error"
         assert len(lines) == 3
+
+    def test_nan_state_exits_1(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n_qubits": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        assert invoke(runner, "protocol", path, "--trials", 100).exit_code == 1
+
+    def test_single_qubit_trials_exits_1(self, runner, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}))
+        result = invoke(runner, "protocol", path, "--trials", 100)
+        assert result.exit_code == 1
+        assert "n >= 2" in result.output
+
+    def test_sweep_parse_error_names_option(self, runner, tmp_path):
+        path = tmp_path / "w3.json"
+        invoke(runner, "gen", "w", "--n", 3, "--out", path)
+        result = invoke(runner, "protocol", path, "--sweep", "10,abc")
+        assert result.exit_code == 1
+        assert "cannot parse --sweep '10,abc'" in result.output
 
     def test_deterministic_given_flags(self, runner, tmp_path):
         path = tmp_path / "w3.json"

@@ -27,9 +27,10 @@ from qent import (
     swap_test_post_state,
     w_state,
 )
-from qent.protocol import MODE_FULL_JOINT, run_report, sweep_csv, _swap_operator
+from qent import protocol
+from qent.protocol import MODE_FULL_JOINT, MODES, run_report, sweep_csv, _swap_operator
 
-from conftest import bell_bell, random_density
+from conftest import bell_bell, brute_force_reduced, random_density
 
 
 class TestSwapTestExact:
@@ -127,8 +128,12 @@ class TestProtocolExact:
             assert abs(q_protocol_exact(state) - q_purity(state)) < 1e-10
 
     def test_rejects_single_qubit(self, rng):
+        state = random_state(1, rng)
         with pytest.raises(ValueError):
-            q_protocol_exact(random_state(1, rng))
+            q_protocol_exact(state)
+        for estimator in (q_protocol_sampled, run_report):
+            with pytest.raises(ValueError, match="n >= 2"):
+                estimator(ProtocolRun(state, 100, 0))
 
 
 class TestSampling:
@@ -255,6 +260,17 @@ class TestSubsetPurity:
         value = subset_purity_exact(state, [0, 1])
         assert abs(value - subset_purity_direct(state, [0, 1])) < 1e-15
 
+    def test_exact_runs_no_circuit(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("subset_purity_exact must not run the circuit")
+
+        monkeypatch.setattr(protocol, "subset_purity_circuit", forbidden)
+        state = random_state(3, rng)
+        for subset in ([0], [0, 2], [0, 1, 2]):
+            rho = brute_force_reduced(state, subset)
+            expected = float(np.sum(np.abs(rho) ** 2))
+            assert abs(subset_purity_exact(state, subset) - expected) < 1e-12
+
 
 class TestConvergenceSweep:
     def test_product_state_has_zero_errors(self, rng):
@@ -296,8 +312,9 @@ class TestRunReport:
         assert len(doc["p_minus_per_qubit"]) == 3
         assert abs(doc["q_estimate"] - 1.0) < 5 * doc["std_error"] + 0.05
 
-    def test_report_matches_sampler(self):
-        run = ProtocolRun(w_state(3), 2500, 4)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_matches_sampler(self, mode):
+        run = ProtocolRun(w_state(3), 2500, 4, mode)
         doc = run_report(run)
         stats = q_protocol_sampled(run)
         assert doc["q_estimate"] == stats.estimate

@@ -34,6 +34,10 @@ class TestTypes:
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([1.0, 1.0]))
 
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(1, np.array([np.nan, 0.0]))
+
     def test_pure_state_is_frozen(self):
         state = ghz_state(2)
         with pytest.raises(ValueError):
@@ -46,6 +50,13 @@ class TestTypes:
     def test_density_matrix_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(2, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "entries", [[[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]]]
+    )
+    def test_density_matrix_rejects_nan(self, entries):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(2, np.array(entries))
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
