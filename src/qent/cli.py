@@ -87,8 +87,6 @@ def gen(kind: str, n: int, seed: int | None, out: str | None):
         elif kind == "cluster":
             state = states.cluster_state(n)
         elif kind == "product":
-            if n < 1:
-                raise ValueError(f"product state needs n >= 1 qubits, got {n}")
             if seed is None:
                 state = states.product_state([(1, 0)] * n)
             else:
@@ -150,15 +148,20 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
         _fail(1, "--phi is required for the threebody target")
     if target != "threebody" and phi is not None:
         _fail(1, "--phi only applies to the threebody target")
-    if target == "swap":
-        seq = pulses.swap_sequence(0, 1)
-        canonical = pulses.canonical_swap(0, 1, seq.register_size)
-    elif target == "threebody":
-        seq = pulses.three_body_sequence(phi, 0, 1, 2)
-        canonical = pulses.zzz_unitary(phi, 0, 1, 2, seq.register_size)
-    else:
-        seq = pulses.cswap_sequence(0, 1, 2)
-        canonical = pulses.canonical_cswap(0, 1, 2, seq.register_size)
+    if not (math.isfinite(tol) and tol > 0):
+        _fail(1, f"--tol must be finite and > 0, got {tol}")
+    try:
+        if target == "swap":
+            seq = pulses.swap_sequence(0, 1)
+            canonical = pulses.canonical_swap(0, 1, seq.register_size)
+        elif target == "threebody":
+            seq = pulses.three_body_sequence(phi, 0, 1, 2)
+            canonical = pulses.zzz_unitary(phi, 0, 1, 2, seq.register_size)
+        else:
+            seq = pulses.cswap_sequence(0, 1, 2)
+            canonical = pulses.canonical_cswap(0, 1, 2, seq.register_size)
+    except ValueError as exc:
+        _fail(1, str(exc))
     if sequence_file is not None:
         try:
             seq = pulses.load_sequence(sequence_file)

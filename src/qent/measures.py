@@ -12,10 +12,19 @@ vectors,
 
 The purity route uses Q = 2 (1 - mean_k Tr[rho_k^2]).  Both are exposed so
 each can serve as an oracle for the other.  D is evaluated from the pairwise
-terms themselves: the matrix u v^T - v u^T is antisymmetric with a zero
-diagonal, so its squared Frobenius norm counts every i<j term twice and
-D = 1/2 ||u v^T - v u^T||_F^2.  It is never taken from the Lagrange identity
+terms themselves, never from the Lagrange identity
 D = <u|u><v|v> - |<u|v>|^2, which the tests use as an independent check.
+
+The pair terms form the matrix C = u v^T - v u^T, which is antisymmetric with
+a zero diagonal.  wedge_distance walks its rows in blocks [a, b) sized to a
+fixed byte budget and forms only C[a:b, a:]: the rectangle C[a:b, b:] holds
+only pairs with i < j and adds its full squared norm, and the square
+C[a:b, a:b] counts each of its i<j terms twice and adds half its squared
+norm.  No pair with j < a is formed, so the work is about half of the full
+matrix.  Every block is formed in two budget-sized buffers allocated once
+per call, so memory does not grow with the vector length and no block pays
+for a fresh allocation.  Time grows as length^2, i.e. as 4^n for the
+remainder vectors of an n-qubit state.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ from .states import PureState, check_subset, purity, reduced_density
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
+# bytes of one row block of pair terms in wedge_distance, which holds a block
+# and a temporary of this size (budget sweep at n = 11: BENCH_direct.json)
+_WEDGE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,10 +80,30 @@ def wedge_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
         raise ValueError(f"vector lengths differ: {u.size} vs {v.size}")
     if u.size < 1:
         raise ValueError("vectors must be nonempty")
-    cross = np.outer(u, v)
-    cross = cross - cross.T
-    # antisymmetric with zero diagonal: the i<j terms are half of all terms
-    return float(0.5 * np.vdot(cross, cross).real)
+    size = u.size
+    rows = min(size, max(1, _WEDGE_BLOCK_BYTES // (u.itemsize * size)))
+    # a block and a temporary, reused by every row block
+    bufs = np.empty((2, rows * size), dtype=complex)
+    total = 0.0
+    for a in range(0, size, rows):
+        b = min(a + rows, size)
+        # the square is antisymmetric with a zero diagonal: half of its
+        # squared norm comes from pairs with i < j
+        total += 0.5 * _pair_block_norm2(u, v, slice(a, b), slice(a, b), bufs)
+        if b < size:
+            # every pair in the rectangle right of the square has i < j
+            total += _pair_block_norm2(u, v, slice(a, b), slice(b, size), bufs)
+    return float(total)
+
+
+def _pair_block_norm2(u, v, rows: slice, cols: slice, bufs: np.ndarray) -> float:
+    """Squared norm of (u v^T - v u^T)[rows, cols], formed in the two buffers."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    block, temp = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+    np.multiply(u[rows, None], v[cols], out=block)
+    np.multiply(v[rows, None], u[cols], out=temp)
+    block -= temp
+    return np.vdot(block, block).real
 
 
 def q_direct(state: PureState) -> float:

@@ -101,14 +101,14 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Ising coupling strength g > 0 (radians per unit time)."""
+    """Finite Ising coupling strength g > 0 (radians per unit time)."""
 
     g: float
     sign_tunable: bool = False
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"coupling strength g must be > 0, got {self.g}")
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError(f"coupling strength g must be finite and > 0, got {self.g}")
 
 
 # ---------------------------------------------------------------------------

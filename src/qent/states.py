@@ -26,6 +26,8 @@ TRACE_ATOL = 1e-10
 UNITARY_ATOL = 1e-9
 # partial traces of normalized states can carry tiny negative eigenvalues
 EIGENVALUE_FLOOR = -1e-9
+# largest register a factory builds: the amplitude vector alone is 1 GiB here
+MAX_QUBITS = 26
 
 
 def _frozen_complex_array(data, shape) -> np.ndarray:
@@ -113,11 +115,22 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # state factories
 
 
+def _check_qubit_count(n: int, minimum: int, family: str) -> None:
+    """Reject n outside [minimum, MAX_QUBITS]; factories call it before allocating."""
+    if n < minimum:
+        raise ValueError(f"{family} needs n >= {minimum} qubits, got {n}")
+    if n > MAX_QUBITS:
+        raise ValueError(
+            f"{family} with {n} qubits exceeds the cap of MAX_QUBITS = {MAX_QUBITS} "
+            f"(its amplitude vector alone would take 2**{n + 4} bytes)"
+        )
+
+
 def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
     """Tensor product of normalized single-qubit states, qubit 0 leftmost."""
+    factors = list(factors)
+    _check_qubit_count(len(factors), 1, "product state")
     factors = [np.asarray(f, dtype=complex).reshape(-1) for f in factors]
-    if not factors:
-        raise ValueError("need at least one single-qubit factor")
     amps = np.array([1.0], dtype=complex)
     for k, f in enumerate(factors):
         if f.size != 2:
@@ -130,8 +143,7 @@ def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError(f"GHZ state needs n >= 2 qubits, got {n}")
+    _check_qubit_count(n, 2, "GHZ state")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return PureState(n, amps)
@@ -139,8 +151,7 @@ def ghz_state(n: int) -> PureState:
 
 def w_state(n: int) -> PureState:
     """Equal superposition of the n one-hot basis states."""
-    if n < 2:
-        raise ValueError(f"W state needs n >= 2 qubits, got {n}")
+    _check_qubit_count(n, 2, "W state")
     amps = np.zeros(2**n, dtype=complex)
     amps[[2**k for k in range(n)]] = 1 / np.sqrt(n)
     return PureState(n, amps)
@@ -155,8 +166,7 @@ def cluster_state(n: int) -> PureState:
     qubits 1..n-1; the two differ by that local unitary and share all
     entanglement properties.  This package uses the controlled-Z form.
     """
-    if n < 2:
-        raise ValueError(f"cluster state needs n >= 2 qubits, got {n}")
+    _check_qubit_count(n, 2, "cluster state")
     idx = np.arange(2**n)
     amps = np.full(2**n, 2 ** (-n / 2), dtype=complex)
     for a in range(n - 1):
@@ -168,8 +178,7 @@ def cluster_state(n: int) -> PureState:
 
 def random_state(n: int, rng: np.random.Generator | int | None = None) -> PureState:
     """Haar-like random state: rotation-invariant complex Gaussian, normalized."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 qubits, got {n}")
+    _check_qubit_count(n, 1, "random state")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     z = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
     return PureState(n, z / np.linalg.norm(z))
@@ -177,8 +186,7 @@ def random_state(n: int, rng: np.random.Generator | int | None = None) -> PureSt
 
 def random_product_state(n: int, rng: np.random.Generator | int | None = None) -> PureState:
     """Product of independent random single-qubit states."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 qubits, got {n}")
+    _check_qubit_count(n, 1, "random product state")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     factors = []
     for _ in range(n):

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: the
-partial trace walks basis states with explicit Python loops, the cluster
-amplitudes come from expanding the operator-tagged product form term by
-term, and pulse matrices are cross-checked against scipy's expm.
+partial trace and the wedge sum walk basis states and index pairs with
+explicit Python loops, the cluster amplitudes come from expanding the
+operator-tagged product form term by term, and pulse matrices are
+cross-checked against scipy's expm.
 """
 
 import itertools
@@ -42,6 +43,28 @@ def brute_force_reduced(state: PureState, keep) -> np.ndarray:
             for br in itertools.product((0, 1), repeat=len(rest)):
                 rho[i, j] += amps[assemble(bi, br)] * np.conj(amps[assemble(bj, br)])
     return rho
+
+
+def brute_force_wedge(u, v) -> float:
+    """sum_{i<j} |u_i v_j - u_j v_i|^2 by an explicit double loop (independent oracle)."""
+    total = 0.0
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            total += abs(u[i] * v[j] - u[j] * v[i]) ** 2
+    return total
+
+
+class _NumpyUnreachable:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was reached before the qubit-count check")
+
+
+@pytest.fixture
+def no_state_numpy(monkeypatch):
+    """Fail on any numpy use inside qent.states: proves a check runs before allocating."""
+    from qent import states
+
+    monkeypatch.setattr(states, "np", _NumpyUnreachable())
 
 
 def cluster_product_expansion(n: int) -> np.ndarray:

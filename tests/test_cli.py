@@ -65,6 +65,12 @@ class TestGen:
         result = invoke(runner, "gen", "ghz", "--n", 2, "--out", "/nonexistent/dir/x.json")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kind,n", [("random", 40), ("ghz", 64), ("product", 40)])
+    def test_qubit_cap_exits_1(self, runner, no_state_numpy, kind, n):
+        result = invoke(runner, "gen", kind, "--n", n)
+        assert result.exit_code == 1
+        assert "error:" in result.output and "MAX_QUBITS = 26" in result.output
+
 
 class TestQ:
     def test_ghz4_all_routes(self, runner, tmp_path):
@@ -163,6 +169,22 @@ class TestVerify:
     def test_phi_requirements(self, runner):
         assert invoke(runner, "verify", "threebody").exit_code == 1
         assert invoke(runner, "verify", "swap", "--phi", 0.3).exit_code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cswap", "--g", "inf"),
+            ("threebody", "--phi", "nan"),
+            ("threebody", "--phi", "inf"),
+            ("cswap", "--tol", "nan"),
+            ("cswap", "--tol", "0"),
+        ],
+        ids=["g-inf", "phi-nan", "phi-inf", "tol-nan", "tol-zero"],
+    )
+    def test_invalid_number_exits_1(self, runner, args):
+        result = invoke(runner, "verify", *args)
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
 
     def test_sequence_export_and_reimport(self, runner, tmp_path):
         seq_file = tmp_path / "cswap.json"

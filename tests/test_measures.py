@@ -1,17 +1,21 @@
 """Tests for the entanglement measure and Schmidt operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qent import (
+    PureState,
     apply_unitary,
     cluster_state,
     ghz_state,
     product_state,
     purity,
     q_direct,
+    q_protocol_exact,
     q_purity,
     random_product_state,
     random_state,
@@ -22,8 +26,9 @@ from qent import (
     w_state,
     wedge_distance,
 )
+from qent import measures
 
-from conftest import bell_bell, haar_unitary
+from conftest import bell_bell, brute_force_wedge, haar_unitary
 
 
 class TestSplitOnQubit:
@@ -111,6 +116,54 @@ class TestWedgeDistance:
             wedge_distance([1, 0], [1, 0, 0])
 
 
+class TestWedgeBlocks:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 33])
+    def test_ragged_blocks_match_pair_loop(self, monkeypatch, rng, size, rows):
+        # a budget of `rows` complex rows splits most sizes into uneven blocks
+        monkeypatch.setattr(measures, "_WEDGE_BLOCK_BYTES", rows * size * 16)
+        u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        expected = brute_force_wedge(u, v)
+        assert abs(wedge_distance(u, v) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize(
+        "make",
+        [ghz_state, w_state, cluster_state, lambda n: random_state(n, 11)],
+        ids=["ghz", "w", "cluster", "random"],
+    )
+    def test_default_budget_routes_agree_at_n11(self, make):
+        n = 11
+        half = 2 ** (n - 1)
+        assert 16 * half * half > measures._WEDGE_BLOCK_BYTES  # several row blocks
+        state = make(n)
+        assert abs(q_direct(state) - q_purity(state)) < 1e-12
+
+    def test_peak_memory_is_bounded(self, rng):
+        size = 2048  # the full pair matrix would take 64 MiB
+        u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        tracemalloc.start()
+        try:
+            wedge_distance(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@st.composite
+def _sparse_states(draw):
+    # random amplitudes on a random support: from basis states up to dense ones
+    n = draw(st.integers(min_value=2, max_value=8))
+    support = draw(st.integers(min_value=1, max_value=2**n))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    amps = np.zeros(2**n, dtype=complex)
+    idx = gen.choice(2**n, size=support, replace=False)
+    amps[idx] = gen.standard_normal(support) + 1j * gen.standard_normal(support)
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
 class TestQRoutes:
     def test_product_states_have_zero_q(self, rng):
         for n in (2, 3, 5):
@@ -137,6 +190,20 @@ class TestQRoutes:
             for _ in range(10):
                 state = random_state(n, rng)
                 assert abs(q_direct(state) - q_purity(state)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_states())
+    def test_three_routes_agree(self, state):
+        values = [q_direct(state), q_purity(state), q_protocol_exact(state)]
+        assert max(values) - min(values) < 1e-10
+
+    def test_haar_average(self, rng):
+        # <Q> = (2^n - 2) / (2^n + 1) over Haar-random states (Scott, PRA 69, 052330 (2004))
+        n, samples = 6, 2000
+        qs = np.array([q_purity(random_state(n, rng)) for _ in range(samples)])
+        expected = (2**n - 2) / (2**n + 1)
+        std_error = qs.std(ddof=1) / np.sqrt(samples)
+        assert abs(qs.mean() - expected) < 5 * std_error
 
     def test_split_distance_equals_purity_deficit(self, rng):
         # per-qubit identity D_k = (1 - Tr[rho_k^2]) / 2

@@ -252,6 +252,11 @@ class TestInteractionTime:
         with pytest.raises(ValueError):
             CouplingModel(0.0)
 
+    @pytest.mark.parametrize("g", [np.inf, np.nan])
+    def test_rejects_nonfinite_g(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingModel(g)
+
 
 class TestGlobalPhaseComparison:
     def test_phase_multiples_are_equal(self, rng):

@@ -129,6 +129,17 @@ class TestFactories:
         with pytest.raises(ValueError):
             factory(1)
 
+    @pytest.mark.parametrize("n", [27, 40, 64])  # 27 = MAX_QUBITS + 1
+    @pytest.mark.parametrize(
+        "factory",
+        [ghz_state, w_state, cluster_state, random_state, random_product_state,
+         lambda n: product_state([(1, 0)] * n)],
+        ids=["ghz", "w", "cluster", "random", "random_product", "product"],
+    )
+    def test_factories_reject_oversized_n_before_allocating(self, factory, n, no_state_numpy):
+        with pytest.raises(ValueError, match="MAX_QUBITS"):
+            factory(n)
+
     def test_random_state_is_seed_deterministic(self):
         a = random_state(4, 11).amplitudes
         b = random_state(4, 11).amplitudes
