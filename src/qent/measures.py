@@ -38,6 +38,9 @@ from .states import PureState, check_subset, purity, reduced_density
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
+# largest state the direct route accepts: its time grows as 4^n, about 50 s
+# per q_direct at n = 16 by the kernel sweep in BENCH_direct.json
+DIRECT_MAX_QUBITS = 16
 # bytes of one row block of pair terms in wedge_distance, which holds a block
 # and a temporary of this size (budget sweep at n = 11: BENCH_direct.json)
 _WEDGE_BLOCK_BYTES = 1 << 19
@@ -109,6 +112,11 @@ def _pair_block_norm2(u, v, rows: slice, cols: slice, bufs: np.ndarray) -> float
 def q_direct(state: PureState) -> float:
     """Q from the projection splits: (4/n) sum_k D(u~_k, v~_k)."""
     n = _check_measurable(state)
+    if n > DIRECT_MAX_QUBITS:
+        raise ValueError(
+            f"direct route takes O(4^n) time and is capped at DIRECT_MAX_QUBITS = "
+            f"{DIRECT_MAX_QUBITS} qubits, got {n}; use q_purity (--route purity)"
+        )
     total = sum(
         wedge_distance(s.u_tilde, s.v_tilde)
         for s in (split_on_qubit(state, k) for k in range(n))

@@ -12,16 +12,22 @@ of 1s per shot equals n*Q/4 exactly.  (Some write-ups attach the count to
 p(+); with the p(+-) convention above only the minus outcome reproduces the
 n*Q/4 identity, so that labeling is used throughout.)
 
-Sampling is seed-deterministic: a run draws all trial outcomes from a single
-PCG64 stream (``numpy.random.default_rng(seed)``) as one block in trial
-order, so identical seeds give bit-identical outcome streams regardless of
-how the consumer schedules the work.  Every trial consumes fresh copies of
-the state; register reuse (and the depolarize-and-reset it would need) is
-not modeled.
+Sampling is seed-deterministic: a run draws its trial outcomes from a single
+PCG64 stream (``numpy.random.default_rng(seed)``) in trial order, in
+consecutive blocks of a fixed byte budget.  A block of whole trials takes
+the same uniforms as the same trials in one draw, so identical seeds give
+bit-identical outcome streams whatever the block size.  The estimator needs
+only two integer tallies, the number of "1"s on each ancilla and the
+histogram of per-trial counts, so ``tally_outcomes`` sums them block by
+block and a run's memory does not grow with the number of trials; only
+``sample_outcomes`` returns the full (trials x n) stream.  Every trial
+consumes fresh copies of the state; register reuse (and the
+depolarize-and-reset it would need) is not modeled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,9 @@ FULL_JOINT_MAX_QUBITS = 14
 
 # conditioning on outcomes rarer than this is treated as impossible
 MIN_OUTCOME_PROBABILITY = 1e-12
+
+# bytes of uniforms in one block of sampled trials (8 per qubit per trial)
+_SAMPLE_BLOCK_BYTES = 1 << 20
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
@@ -81,6 +90,14 @@ class ProtocolRun:
                 f"full-joint mode needs 3*n_qubits <= {FULL_JOINT_MAX_QUBITS}, "
                 f"got n_qubits = {self.state.n_qubits}"
             )
+
+
+@dataclass(frozen=True)
+class OutcomeTally:
+    """Integer counts of a sampled run: all that the estimator reads."""
+
+    minus_counts: np.ndarray  # per qubit: trials whose ancilla read "1"
+    count_histogram: np.ndarray  # index k: trials with exactly k "1"s
 
 
 @dataclass(frozen=True)
@@ -161,17 +178,73 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     exact-marginal mode draws each ancilla independently from its exact
     p(-); full-joint mode simulates all three registers through the bitwise
     c-SWAP circuit and samples the joint ancilla distribution, preserving
-    inter-qubit outcome correlations.
+    inter-qubit outcome correlations.  The array grows with n_trials; the
+    estimators read the same stream through ``tally_outcomes`` instead.
     """
     n = run.state.n_qubits
+    blocks = _outcome_blocks(run)
+    if run.mode == MODE_FULL_JOINT:
+        blocks = (_bits(draws, n) for draws in blocks)
+    return np.concatenate(list(blocks))
+
+
+def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
+    """Per-qubit counts of "1" and the histogram of per-trial counts.
+
+    Sums the same outcome stream as ``sample_outcomes``, block by block,
+    without holding more than one block of trials.
+    """
+    n = run.state.n_qubits
+    if run.mode == MODE_FULL_JOINT:
+        patterns = np.zeros(2**n, dtype=np.int64)
+        for draws in _outcome_blocks(run):
+            patterns += np.bincount(draws, minlength=2**n)
+        bits = _bits(np.arange(2**n), n)
+        histogram = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(histogram, bits.sum(axis=1), patterns)
+        return OutcomeTally(patterns @ bits, histogram)
+    minus = np.zeros(n, dtype=np.int64)
+    histogram = np.zeros(n + 1, dtype=np.int64)
+    for block in _outcome_blocks(run):
+        # sums of 0/1 floats are exact; matmuls reduce the short rows fast
+        ones = block.astype(np.float64)
+        minus += (np.ones(len(ones)) @ ones).astype(np.int64)
+        histogram += np.bincount((ones @ np.ones(n)).astype(np.intp), minlength=n + 1)
+    return OutcomeTally(minus, histogram)
+
+
+def _outcome_blocks(run: ProtocolRun):
+    """Consecutive blocks of the run's trials, in trial order.
+
+    exact-marginal blocks are boolean (rows, n) outcomes; full-joint blocks
+    are the drawn joint outcomes (index bit j = ancilla j), drawn by inverse
+    CDF exactly as ``Generator.choice`` does.  Every block takes whole
+    trials from one ``default_rng(seed)`` stream, so the concatenated blocks
+    equal a single draw of all trials.
+    """
+    n = run.state.n_qubits
+    rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * n))
     rng = np.random.default_rng(run.seed)
     if run.mode == MODE_EXACT_MARGINAL:
         p_minus = minus_probabilities(run.state)
-        return rng.random((run.n_trials, n)) < p_minus[np.newaxis, :]
-    probs = joint_outcome_distribution(run.state)
-    draws = rng.choice(probs.size, size=run.n_trials, p=probs)
+
+        def draw(count):
+            return rng.random((count, n)) < p_minus
+    else:
+        cdf = np.cumsum(joint_outcome_distribution(run.state))
+        cdf /= cdf[-1]
+
+        def draw(count):
+            return cdf.searchsorted(rng.random(count), side="right")
+
+    for start in range(0, run.n_trials, rows):
+        yield draw(min(rows, run.n_trials - start))
+
+
+def _bits(patterns: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(patterns), n) unpacking; column j is bit n-1-j."""
     shifts = np.arange(n - 1, -1, -1)
-    return ((draws[:, np.newaxis] >> shifts[np.newaxis, :]) & 1).astype(bool)
+    return ((patterns[:, np.newaxis] >> shifts[np.newaxis, :]) & 1).astype(bool)
 
 
 def joint_outcome_distribution(state: PureState) -> np.ndarray:
@@ -200,17 +273,29 @@ def joint_outcome_distribution(state: PureState) -> np.ndarray:
 
 def q_protocol_sampled(run: ProtocolRun) -> EstimatorStats:
     """Monte Carlo estimate of Q from per-trial counts of "1" ancillas."""
-    return _estimate(sample_outcomes(run))
+    return _estimate(tally_outcomes(run))
 
 
-def _estimate(outcomes: np.ndarray) -> EstimatorStats:
-    """Mean and standard error of the per-trial Q = (4/n) * count of "1"s."""
-    n_trials, n = outcomes.shape
+def _estimate(tally: OutcomeTally) -> EstimatorStats:
+    """Mean and ddof=1 standard error of the per-trial Q = (4/n) * count of "1"s.
+
+    The count sums are exact integers, so the only roundings are the final
+    division and square root.
+    """
+    n = tally.minus_counts.size
     if n < 2:
         raise ValueError("protocol Q is defined for n >= 2 qubits")
-    per_trial = 4.0 / n * outcomes.sum(axis=1)
-    std_error = float(per_trial.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
-    return EstimatorStats(float(per_trial.mean()), std_error, n_trials)
+    hist = [int(h) for h in tally.count_histogram]
+    n_trials = sum(hist)
+    s1 = sum(k * h for k, h in enumerate(hist))
+    s2 = sum(k * k * h for k, h in enumerate(hist))
+    std_error = 0.0
+    if n_trials > 1:
+        # SE^2 = (4/n)^2 * sum_t (c_t - mean c)^2 / ((T - 1) * T)
+        std_error = math.sqrt(
+            16 * (n_trials * s2 - s1 * s1) / (n * n * n_trials * n_trials * (n_trials - 1))
+        )
+    return EstimatorStats(4 * s1 / (n * n_trials), std_error, n_trials)
 
 
 def convergence_sweep(
@@ -222,6 +307,8 @@ def convergence_sweep(
     ``SeedSequence((seed, index))`` so the sweep is reproducible while
     counts stay uncorrelated.
     """
+    if not trial_counts:
+        raise ValueError("convergence sweep needs at least one trial count")
     if any(b <= a for a, b in zip(trial_counts, trial_counts[1:])):
         raise ValueError(f"trial counts must be ascending, got {trial_counts}")
     q_exact = q_protocol_exact(state)
@@ -289,14 +376,14 @@ def subset_purity_circuit(state: PureState, subset) -> float:
 
 def run_report(run: ProtocolRun, state_ref: str | None = None) -> dict:
     """JSON-ready summary of a sampled run."""
-    outcomes = sample_outcomes(run)
-    stats = _estimate(outcomes)
+    tally = tally_outcomes(run)
+    stats = _estimate(tally)
     return {
         "state": state_ref if state_ref is not None else f"<{run.state.n_qubits}-qubit state>",
         "mode": run.mode,
         "seed": run.seed,
         "n_trials": run.n_trials,
-        "p_minus_per_qubit": [float(f) for f in outcomes.mean(axis=0)],
+        "p_minus_per_qubit": [int(c) / run.n_trials for c in tally.minus_counts],
         "q_estimate": stats.estimate,
         "std_error": stats.std_error,
     }

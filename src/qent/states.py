@@ -249,7 +249,7 @@ def inner_product(a: PureState, b: PureState) -> complex:
 def state_to_dict(state: PureState) -> dict:
     return {
         "n_qubits": state.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),
     }
 
 

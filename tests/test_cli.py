@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qent import measures
 from qent.cli import main
 from qent.states import save_state
 
@@ -144,6 +145,21 @@ class TestQ:
         assert result.exit_code == 1
         assert "norm" in result.output
 
+    def test_direct_route_cap_exits_1(self, runner, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the direct route started")
+
+        monkeypatch.setattr(measures, "split_on_qubit", forbidden)
+        path = tmp_path / "big17.json"
+        assert invoke(runner, "gen", "product", "--n", 17, "--out", path).exit_code == 0
+        for route in ("all", "direct"):
+            result = invoke(runner, "q", path, "--route", route)
+            assert result.exit_code == 1
+            assert "error:" in result.output and "DIRECT_MAX_QUBITS = 16" in result.output
+        result = invoke(runner, "q", path, "--route", "purity")
+        assert result.exit_code == 0
+        assert abs(json.loads(result.output)["q"]["purity"]) < 1e-12
+
 
 class TestVerify:
     def test_cswap_fixed_sign(self, runner):
@@ -252,6 +268,14 @@ class TestProtocol:
         lines = csv_out.read_text().strip().split("\n")
         assert lines[0] == "n_trials,abs_error"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("sweep", [",", ""])
+    def test_empty_sweep_exits_1(self, runner, tmp_path, sweep):
+        path = tmp_path / "w3.json"
+        invoke(runner, "gen", "w", "--n", 3, "--out", path)
+        result = invoke(runner, "protocol", path, "--sweep", sweep)
+        assert result.exit_code == 1
+        assert "error:" in result.output and "n_trials" not in result.output
 
     def test_nan_state_exits_1(self, runner, tmp_path):
         path = tmp_path / "nan.json"

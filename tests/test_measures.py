@@ -164,6 +164,20 @@ def _sparse_states(draw):
     return PureState(n, amps / np.linalg.norm(amps))
 
 
+class TestDirectCap:
+    def test_cap_is_checked_before_any_split(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("split_on_qubit ran")
+
+        monkeypatch.setattr(measures, "split_on_qubit", forbidden)
+        assert measures.DIRECT_MAX_QUBITS == 16
+        with pytest.raises(ValueError, match=r"DIRECT_MAX_QUBITS = 16 .*q_purity"):
+            q_direct(product_state([(1, 0)] * 17))
+        # at the cap the route proceeds to its first split
+        with pytest.raises(AssertionError, match="split_on_qubit ran"):
+            q_direct(ghz_state(16))
+
+
 class TestQRoutes:
     def test_product_states_have_zero_q(self, rng):
         for n in (2, 3, 5):

@@ -1,5 +1,7 @@
 """Tests for the measurement-protocol simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,15 @@ from qent import (
     w_state,
 )
 from qent import protocol
-from qent.protocol import MODE_FULL_JOINT, MODES, run_report, sweep_csv, _swap_operator
+from qent.protocol import (
+    MODE_EXACT_MARGINAL,
+    MODE_FULL_JOINT,
+    MODES,
+    _swap_operator,
+    run_report,
+    sweep_csv,
+    tally_outcomes,
+)
 
 from conftest import bell_bell, brute_force_reduced, random_density
 
@@ -218,6 +228,74 @@ class TestSampling:
             ProtocolRun(state, 10, 0, "sideways")
 
 
+def one_shot_outcomes(run: ProtocolRun) -> np.ndarray:
+    """Reference stream: every trial in one draw, as a single block."""
+    n = run.state.n_qubits
+    rng = np.random.default_rng(run.seed)
+    if run.mode == MODE_FULL_JOINT:
+        probs = joint_outcome_distribution(run.state)
+        draws = rng.choice(probs.size, size=run.n_trials, p=probs)
+        return ((draws[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    return rng.random((run.n_trials, n)) < minus_probabilities(run.state)[np.newaxis, :]
+
+
+class TestOutcomeBlocks:
+    @pytest.fixture(params=[1, 2, 3], ids=lambda r: f"rows{r}")
+    def run(self, request, monkeypatch, mode, n_trials):
+        state = random_state(3, 29)
+        # a budget of `rows` trials of 8-byte uniforms per qubit
+        monkeypatch.setattr(protocol, "_SAMPLE_BLOCK_BYTES", request.param * 8 * state.n_qubits)
+        run = ProtocolRun(state, n_trials, 1000 + n_trials, mode)
+        sizes = [len(block) for block in protocol._outcome_blocks(run)]
+        assert sum(sizes) == n_trials and max(sizes) == min(request.param, n_trials)
+        return run
+
+    @pytest.fixture(params=MODES)
+    def mode(self, request):
+        return request.param
+
+    @pytest.fixture(params=[1, 7, 1000])
+    def n_trials(self, request):
+        return request.param
+
+    def test_stream_equals_one_shot_draw(self, run):
+        outcomes = sample_outcomes(run)
+        assert outcomes.dtype == bool
+        assert np.array_equal(outcomes, one_shot_outcomes(run))
+
+    def test_tally_counts_the_stream(self, run):
+        outcomes = one_shot_outcomes(run)
+        tally = tally_outcomes(run)
+        assert np.array_equal(tally.minus_counts, outcomes.sum(axis=0))
+        expected = np.bincount(outcomes.sum(axis=1), minlength=run.state.n_qubits + 1)
+        assert np.array_equal(tally.count_histogram, expected)
+
+    def test_estimates_match_outcome_matrix(self, run):
+        outcomes = one_shot_outcomes(run)
+        per_trial = 4.0 / run.state.n_qubits * outcomes.sum(axis=1)
+        mean = per_trial.mean()
+        se = per_trial.std(ddof=1) / np.sqrt(run.n_trials) if run.n_trials > 1 else 0.0
+        stats = q_protocol_sampled(run)
+        doc = run_report(run)
+        for got in ((stats.estimate, stats.std_error), (doc["q_estimate"], doc["std_error"])):
+            assert abs(got[0] - mean) <= 1e-12 * abs(mean)
+            assert abs(got[1] - se) <= 1e-12 * se
+        assert stats.n_trials == run.n_trials
+        assert doc["p_minus_per_qubit"] == [float(f) for f in outcomes.mean(axis=0)]
+
+    @pytest.mark.parametrize("n,mode", [(10, MODE_EXACT_MARGINAL), (4, MODE_FULL_JOINT)])
+    def test_run_report_memory_does_not_grow_with_trials(self, n, mode):
+        # one draw of all trials peaks at about 86 MiB at n = 10
+        run = ProtocolRun(random_state(n, 3), 1_000_000, 8, mode)
+        tracemalloc.start()
+        try:
+            run_report(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestSubsetPurity:
     def test_bell_bell_subset_is_pure(self):
         assert abs(subset_purity_exact(bell_bell(), [0, 1]) - 1.0) < 1e-9
@@ -290,6 +368,10 @@ class TestConvergenceSweep:
         a = convergence_sweep(ghz_state(2), [100, 1000], seed=9)
         b = convergence_sweep(ghz_state(2), [100, 1000], seed=9)
         assert a == b
+
+    def test_rejects_empty_counts(self):
+        with pytest.raises(ValueError, match="at least one"):
+            convergence_sweep(ghz_state(2), [], seed=0)
 
     def test_rejects_descending_counts(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -1,5 +1,7 @@
 """Tests for the state-vector and density-matrix kernel."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,18 @@ class TestStateFiles:
         state = w_state(3)
         again = state_from_dict(state_to_dict(state))
         assert np.array_equal(again.amplitudes, state.amplitudes)
+
+    def test_encoding_matches_per_element_floats(self):
+        amps = random_state(8, 31).amplitudes.copy()
+        amps[5:7] = 0.0
+        amps /= np.linalg.norm(amps)
+        # signed zeros set after the division, which would drop their signs
+        amps[5], amps[6] = complex(-0.0, -0.0), complex(0.0, -0.0)
+        state = PureState(8, amps)
+        per_element = [[float(a.real), float(a.imag)] for a in state.amplitudes]
+        text = json.dumps(state_to_dict(state))
+        assert text == json.dumps({"n_qubits": 8, "amplitudes": per_element})
+        assert "[-0.0, -0.0], [0.0, -0.0]" in text
 
     def test_rejects_malformed_documents(self, tmp_path):
         with pytest.raises(ValueError, match="malformed"):
