@@ -50,7 +50,7 @@ def _load_state(path: str) -> states.PureState:
     except json.JSONDecodeError as exc:
         _fail(2, f"malformed state file {path}: {exc}")
     try:
-        n = int(doc["n_qubits"])
+        n = states._qubit_count(doc["n_qubits"])
         amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         _fail(2, f"malformed state file {path}: {exc}")

@@ -12,22 +12,23 @@ of 1s per shot equals n*Q/4 exactly.  (Some write-ups attach the count to
 p(+); with the p(+-) convention above only the minus outcome reproduces the
 n*Q/4 identity, so that labeling is used throughout.)
 
-Sampling is seed-deterministic: a run draws its trial outcomes from a single
-PCG64 stream (``numpy.random.default_rng(seed)``) in trial order, in
-consecutive blocks of a fixed byte budget.  A block of whole trials takes
-the same uniforms as the same trials in one draw, so identical seeds give
-bit-identical outcome streams whatever the block size.  The estimator needs
-only two integer tallies, the number of "1"s on each ancilla and the
-histogram of per-trial counts, so ``tally_outcomes`` sums them block by
-block and a run's memory does not grow with the number of trials; only
-``sample_outcomes`` returns the full (trials x n) stream.  Every trial
-consumes fresh copies of the state; register reuse (and the
-depolarize-and-reset it would need) is not modeled.
+Sampling is seed-deterministic: a run draws from a single PCG64 stream
+(``numpy.random.default_rng(seed)``), so a seed fixes the tally bit for bit.
+The estimator needs only two integer tallies, the number of "1"s on each
+ancilla and the histogram of per-trial counts, and ``tally_outcomes``
+draws them from their exact distribution without drawing the trials:
+n(n+1)/2 binomial draws in exact-marginal mode, one multinomial over the
+2^n ancilla patterns in full-joint mode.  Time and memory are flat in the
+trial count.  ``sample_outcomes`` draws the full (trials x n) stream trial
+by trial, in blocks of a fixed byte budget, as the per-trial oracle; no
+estimator calls it.  Every trial consumes fresh copies of the state;
+register reuse (and the depolarize-and-reset it would need) is not modeled.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ FULL_JOINT_MAX_QUBITS = 14
 
 # conditioning on outcomes rarer than this is treated as impossible
 MIN_OUTCOME_PROBABILITY = 1e-12
+
+# trial counts are drawn and tallied as int64
+MAX_TRIALS = int(np.iinfo(np.int64).max)
 
 # bytes of uniforms in one block of sampled trials (8 per qubit per trial)
 _SAMPLE_BLOCK_BYTES = 1 << 20
@@ -81,8 +85,15 @@ class ProtocolRun:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # the tally draws take int64 counts; a fraction would be truncated
+        if isinstance(self.n_trials, bool) or not isinstance(self.n_trials, numbers.Integral):
+            raise ValueError(f"n_trials must be an integer, got {self.n_trials!r}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.n_trials > MAX_TRIALS:
+            raise ValueError(
+                f"n_trials must be <= {MAX_TRIALS} (int64 counts), got {self.n_trials}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.mode == MODE_FULL_JOINT and 3 * self.state.n_qubits > FULL_JOINT_MAX_QUBITS:
@@ -178,8 +189,10 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     exact-marginal mode draws each ancilla independently from its exact
     p(-); full-joint mode simulates all three registers through the bitwise
     c-SWAP circuit and samples the joint ancilla distribution, preserving
-    inter-qubit outcome correlations.  The array grows with n_trials; the
-    estimators read the same stream through ``tally_outcomes`` instead.
+    inter-qubit outcome correlations.  The array grows with n_trials.  It is
+    the per-trial oracle of ``tally_outcomes``, whose tally has the same
+    distribution as this stream's counts but is drawn without it; no
+    estimator calls it.
     """
     n = run.state.n_qubits
     blocks = _outcome_blocks(run)
@@ -191,26 +204,33 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
 def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
     """Per-qubit counts of "1" and the histogram of per-trial counts.
 
-    Sums the same outcome stream as ``sample_outcomes``, block by block,
-    without holding more than one block of trials.
+    Draws the tally of ``n_trials`` i.i.d. trials from its exact
+    distribution without drawing the trials, so its cost does not depend
+    on the trial count.  exact-marginal mode splits bins binomially: while
+    qubit j is read, ``bins[c]`` holds the trials with c "1"s so far, and
+    Binomial(bins[c], p_j) of them move to bin c + 1 (n(n+1)/2 draws in
+    all).  full-joint mode draws the pattern counts as one multinomial over
+    the 2^n ancilla patterns and reduces them to the two tallies.
     """
     n = run.state.n_qubits
+    rng = np.random.default_rng(run.seed)
     if run.mode == MODE_FULL_JOINT:
-        patterns = np.zeros(2**n, dtype=np.int64)
-        for draws in _outcome_blocks(run):
-            patterns += np.bincount(draws, minlength=2**n)
+        patterns = rng.multinomial(run.n_trials, joint_outcome_distribution(run.state))
         bits = _bits(np.arange(2**n), n)
         histogram = np.zeros(n + 1, dtype=np.int64)
         np.add.at(histogram, bits.sum(axis=1), patterns)
         return OutcomeTally(patterns @ bits, histogram)
+    # a qubit in a pure reduced state can give p(-) = -1e-17
+    p_minus = np.clip(minus_probabilities(run.state), 0.0, 1.0)
     minus = np.zeros(n, dtype=np.int64)
-    histogram = np.zeros(n + 1, dtype=np.int64)
-    for block in _outcome_blocks(run):
-        # sums of 0/1 floats are exact; matmuls reduce the short rows fast
-        ones = block.astype(np.float64)
-        minus += (np.ones(len(ones)) @ ones).astype(np.int64)
-        histogram += np.bincount((ones @ np.ones(n)).astype(np.intp), minlength=n + 1)
-    return OutcomeTally(minus, histogram)
+    bins = np.zeros(n + 1, dtype=np.int64)
+    bins[0] = run.n_trials
+    for j, p in enumerate(p_minus):
+        moved = rng.binomial(bins[: j + 1], p)
+        bins[: j + 1] -= moved
+        bins[1 : j + 2] += moved
+        minus[j] = moved.sum()
+    return OutcomeTally(minus, bins)
 
 
 def _outcome_blocks(run: ProtocolRun):

@@ -26,7 +26,7 @@ TRACE_ATOL = 1e-10
 UNITARY_ATOL = 1e-9
 # partial traces of normalized states can carry tiny negative eigenvalues
 EIGENVALUE_FLOOR = -1e-9
-# largest register a factory builds: the amplitude vector alone is 1 GiB here
+# largest register a state may have: the amplitude vector alone is 1 GiB here
 MAX_QUBITS = 26
 
 
@@ -46,6 +46,11 @@ class PureState:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        # before 2**n_qubits, which a huge count turns into a huge integer
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(
+                f"n_qubits = {self.n_qubits} exceeds the cap of MAX_QUBITS = {MAX_QUBITS}"
+            )
         amps = _frozen_complex_array(self.amplitudes, -1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(
@@ -253,9 +258,16 @@ def state_to_dict(state: PureState) -> dict:
     }
 
 
+def _qubit_count(value) -> int:
+    """The n_qubits field of a state document; a bool or a fraction is malformed."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"n_qubits must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_dict(doc: dict) -> PureState:
     try:
-        n = int(doc["n_qubits"])
+        n = _qubit_count(doc["n_qubits"])
         pairs = doc["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, ValueError) as exc:

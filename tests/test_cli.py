@@ -145,6 +145,22 @@ class TestQ:
         assert result.exit_code == 1
         assert "norm" in result.output
 
+    def test_oversized_qubit_count_exits_1(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_qubits": 100_000, "amplitudes": [[1, 0], [0, 0]]}))
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 1
+        assert "MAX_QUBITS" in result.output
+
+    @pytest.mark.parametrize("n_qubits", ["2.9", "true"])
+    def test_non_integral_qubit_count_exits_2(self, runner, tmp_path, n_qubits):
+        path = tmp_path / "frac.json"
+        amps = [[1, 0], [0, 0], [0, 0], [0, 0]] if n_qubits == "2.9" else [[1, 0], [0, 0]]
+        path.write_text(f'{{"n_qubits": {n_qubits}, "amplitudes": {json.dumps(amps)}}}')
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 2
+        assert "malformed" in result.output
+
     def test_direct_route_cap_exits_1(self, runner, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the direct route started")

@@ -1,9 +1,11 @@
 """Tests for the measurement-protocol simulation."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from qent import (
     DensityMatrix,
@@ -33,7 +35,9 @@ from qent import protocol
 from qent.protocol import (
     MODE_EXACT_MARGINAL,
     MODE_FULL_JOINT,
+    MAX_TRIALS,
     MODES,
+    OutcomeTally,
     _swap_operator,
     run_report,
     sweep_csv,
@@ -239,6 +243,50 @@ def one_shot_outcomes(run: ProtocolRun) -> np.ndarray:
     return rng.random((run.n_trials, n)) < minus_probabilities(run.state)[np.newaxis, :]
 
 
+def tally_of(outcomes: np.ndarray) -> OutcomeTally:
+    """The tally of an explicit (trials x n) outcome matrix."""
+    counts = outcomes.sum(axis=1)
+    histogram = np.bincount(counts, minlength=outcomes.shape[1] + 1)
+    return OutcomeTally(outcomes.sum(axis=0), histogram)
+
+
+def is_realizable(tally: OutcomeTally, n_trials: int) -> bool:
+    """Gale-Ryser: some 0/1 (n_trials x n) matrix has these column sums and row-sum histogram."""
+    hist = [int(h) for h in tally.count_histogram]
+    columns = sorted((int(c) for c in tally.minus_counts), reverse=True)
+    if min(hist) < 0 or min(columns) < 0 or sum(hist) != n_trials:
+        return False
+    if sum(columns) != sum(k * h for k, h in enumerate(hist)):
+        return False
+    return all(
+        sum(columns[:k]) <= sum(min(m, k) * h for m, h in enumerate(hist))
+        for k in range(1, len(columns) + 1)
+    )
+
+
+def exact_tally_pmf(run: ProtocolRun) -> dict:
+    """pmf of the tally, summed over all 2^(n*T) per-trial outcome matrices."""
+    n, n_trials = run.state.n_qubits, run.n_trials
+    if run.mode == MODE_FULL_JOINT:
+        row_probs = joint_outcome_distribution(run.state)
+    else:
+        p = minus_probabilities(run.state)
+        row_probs = [
+            np.prod([p[j] if (row >> (n - 1 - j)) & 1 else 1 - p[j] for j in range(n)])
+            for row in range(2**n)
+        ]
+    pmf = {}
+    for rows in itertools.product(range(2**n), repeat=n_trials):
+        outcomes = (np.array(rows)[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1
+        key = tally_key(tally_of(outcomes))
+        pmf[key] = pmf.get(key, 0.0) + np.prod([row_probs[r] for r in rows])
+    return pmf
+
+
+def tally_key(tally: OutcomeTally) -> tuple:
+    return tuple(int(c) for c in tally.minus_counts), tuple(int(h) for h in tally.count_histogram)
+
+
 class TestOutcomeBlocks:
     @pytest.fixture(params=[1, 2, 3], ids=lambda r: f"rows{r}")
     def run(self, request, monkeypatch, mode, n_trials):
@@ -263,25 +311,32 @@ class TestOutcomeBlocks:
         assert outcomes.dtype == bool
         assert np.array_equal(outcomes, one_shot_outcomes(run))
 
-    def test_tally_counts_the_stream(self, run):
-        outcomes = one_shot_outcomes(run)
+    def test_tally_counts_the_stream(self, run, monkeypatch):
+        # the tally is the count of some T-trial stream, and the oracle's
+        # block budget does not reach it
         tally = tally_outcomes(run)
-        assert np.array_equal(tally.minus_counts, outcomes.sum(axis=0))
-        expected = np.bincount(outcomes.sum(axis=1), minlength=run.state.n_qubits + 1)
-        assert np.array_equal(tally.count_histogram, expected)
+        assert is_realizable(tally, run.n_trials)
+        monkeypatch.setattr(protocol, "_SAMPLE_BLOCK_BYTES", 1 << 20)
+        default = tally_outcomes(run)
+        assert np.array_equal(tally.minus_counts, default.minus_counts)
+        assert np.array_equal(tally.count_histogram, default.count_histogram)
 
     def test_estimates_match_outcome_matrix(self, run):
         outcomes = one_shot_outcomes(run)
         per_trial = 4.0 / run.state.n_qubits * outcomes.sum(axis=1)
         mean = per_trial.mean()
         se = per_trial.std(ddof=1) / np.sqrt(run.n_trials) if run.n_trials > 1 else 0.0
-        stats = q_protocol_sampled(run)
-        doc = run_report(run)
-        for got in ((stats.estimate, stats.std_error), (doc["q_estimate"], doc["std_error"])):
-            assert abs(got[0] - mean) <= 1e-12 * abs(mean)
-            assert abs(got[1] - se) <= 1e-12 * se
+        stats = protocol._estimate(tally_of(outcomes))
+        assert abs(stats.estimate - mean) <= 1e-12 * abs(mean)
+        assert abs(stats.std_error - se) <= 1e-12 * se
         assert stats.n_trials == run.n_trials
-        assert doc["p_minus_per_qubit"] == [float(f) for f in outcomes.mean(axis=0)]
+        # the sampled estimators read the drawn tally through the same estimator
+        tally = tally_outcomes(run)
+        expected = protocol._estimate(tally)
+        doc = run_report(run)
+        assert q_protocol_sampled(run) == expected
+        assert (doc["q_estimate"], doc["std_error"]) == (expected.estimate, expected.std_error)
+        assert doc["p_minus_per_qubit"] == [int(c) / run.n_trials for c in tally.minus_counts]
 
     @pytest.mark.parametrize("n,mode", [(10, MODE_EXACT_MARGINAL), (4, MODE_FULL_JOINT)])
     def test_run_report_memory_does_not_grow_with_trials(self, n, mode):
@@ -294,6 +349,65 @@ class TestOutcomeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestTallyDistribution:
+    @pytest.mark.parametrize(
+        "n,n_trials,mode",
+        [(3, 2, MODE_EXACT_MARGINAL), (2, 3, MODE_FULL_JOINT), (3, 2, MODE_FULL_JOINT)],
+    )
+    def test_tally_follows_exact_pmf(self, n, n_trials, mode):
+        state = random_state(n, 31 if n == 3 else 27)
+        pmf = exact_tally_pmf(ProtocolRun(state, n_trials, 0, mode))
+        assert abs(sum(pmf.values()) - 1.0) < 1e-12
+        seeds = range(3000)
+        observed = dict.fromkeys(pmf, 0)
+        for seed in seeds:
+            key = tally_key(tally_outcomes(ProtocolRun(state, n_trials, seed, mode)))
+            assert key in observed, f"seed {seed} drew an impossible tally {key}"
+            observed[key] += 1
+        # pool the tallies expected fewer than 5 times into one cell
+        rare = [key for key in pmf if pmf[key] * len(seeds) < 5]
+        cells = [[key] for key in pmf if key not in rare] + ([rare] if rare else [])
+        f_obs = [sum(observed[key] for key in cell) for cell in cells]
+        f_exp = [len(seeds) * sum(pmf[key] for key in cell) for cell in cells]
+        assert len(cells) >= 3
+        assert scipy_stats.chisquare(f_obs, f_exp).pvalue > 1e-6
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_trials", [1, 2, 10**6, 10**15, MAX_TRIALS])
+    def test_tally_invariants(self, mode, n_trials):
+        state = random_state(4, 5)
+        tally = tally_outcomes(ProtocolRun(state, n_trials, 3, mode))
+        hist = [int(h) for h in tally.count_histogram]
+        minus = [int(c) for c in tally.minus_counts]
+        assert len(hist) == 5 and len(minus) == 4
+        assert sum(hist) == n_trials and min(hist) >= 0
+        assert sum(minus) == sum(k * h for k, h in enumerate(hist))
+        assert 0 <= min(minus) and max(minus) <= n_trials
+
+    def test_clips_rounded_probabilities(self, monkeypatch):
+        # a pure reduced state can give p(-) just below 0, and float sums just above 1
+        monkeypatch.setattr(
+            protocol, "minus_probabilities", lambda state: np.array([-1e-17, 1 + 1e-16, 0.5])
+        )
+        tally = tally_outcomes(ProtocolRun(ghz_state(3), 1000, 4))
+        assert tally.minus_counts[0] == 0 and tally.minus_counts[1] == 1000
+        assert tally.count_histogram[0] == 0 and tally.count_histogram[3] == 0
+
+    def test_rejects_trials_beyond_int64(self):
+        state = ghz_state(2)
+        with pytest.raises(ValueError, match="int64"):
+            ProtocolRun(state, 2**63, 0)
+        with pytest.raises(ValueError, match="int64"):
+            ProtocolRun(state, 10**20, 0)
+        assert ProtocolRun(state, 2**63 - 1, 0).n_trials == MAX_TRIALS
+
+    @pytest.mark.parametrize("n_trials", [2.7, 3.0, True])
+    def test_rejects_non_integer_trials(self, n_trials):
+        with pytest.raises(ValueError, match="integer"):
+            ProtocolRun(ghz_state(2), n_trials, 0)
+        assert ProtocolRun(ghz_state(2), np.int64(3), 0).n_trials == 3
 
 
 class TestSubsetPurity:

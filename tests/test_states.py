@@ -40,6 +40,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([np.nan, 0.0]))
 
+    def test_pure_state_rejects_oversized_n_before_allocating(self, no_state_numpy):
+        # 2**100_000 alone is a 30,000-digit integer
+        with pytest.raises(ValueError, match="MAX_QUBITS"):
+            PureState(100_000, [1, 0])
+
     def test_pure_state_is_frozen(self):
         state = ghz_state(2)
         with pytest.raises(ValueError):
@@ -309,3 +314,13 @@ class TestStateFiles:
         bad.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
             load_state(bad)
+
+    @pytest.mark.parametrize("n_qubits", [2.9, True, float("nan"), float("inf")])
+    def test_rejects_non_integral_qubit_count(self, n_qubits):
+        amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="malformed"):
+            state_from_dict({"n_qubits": n_qubits, "amplitudes": amps})
+
+    def test_accepts_integral_float_qubit_count(self):
+        amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert state_from_dict({"n_qubits": 2.0, "amplitudes": amps}).n_qubits == 2
