@@ -1,0 +1,107 @@
+"""Pulse-layer sweep: sequence_unitary time on the c-SWAP sequence over register sizes.
+
+Run from the root of each checkout to measure and compare:
+
+    PYTHONPATH=src python3 scripts/bench_pulses.py --label before --save u_before.npz
+    PYTHONPATH=src python3 scripts/bench_pulses.py --label after --reference u_before.npz
+
+For each register size r in 3..--max-r it embeds the 51-pulse c-SWAP
+sequence on qubits (0, r // 2, r - 1) of an r-qubit register and times
+sequence_unitary on it (median of several calls; one call is timed at the
+largest sizes, where a call takes seconds).  --save writes the unitaries to
+an .npz file; --reference reads such a file and records the largest
+elementwise difference from it for every r, so a second checkout can be
+checked for identical output.  Each r also records the phase-aligned
+deviation from canonical_cswap.  The labelled section (with the command,
+interpreter, numpy version and host) is merged into --out, keeping the other
+sections.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+from pathlib import Path
+
+import numpy as np
+
+from qent import (
+    PulseSequence,
+    canonical_cswap,
+    cswap_sequence,
+    phase_aligned_deviation,
+    sequence_unitary,
+)
+
+MIN_R = 3
+
+
+def _repeats(r: int) -> int:
+    return 7 if r <= 7 else (3 if r <= 9 else 1)
+
+
+def _row(r: int, reference) -> tuple[dict, np.ndarray]:
+    c, t, s = 0, r // 2, r - 1
+    seq = PulseSequence(cswap_sequence(c, t, s).pulses, r)
+    times = []
+    for _ in range(_repeats(r)):
+        start = time.perf_counter()
+        u = sequence_unitary(seq)
+        times.append(time.perf_counter() - start)
+    row = {
+        "r": r,
+        "targets": [c, t, s],
+        "pulses": len(seq.pulses),
+        "calls": len(times),
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "deviation_from_canonical": phase_aligned_deviation(canonical_cswap(c, t, s, r), u),
+    }
+    if reference is not None:
+        row["max_abs_diff_vs_reference"] = float(np.max(np.abs(u - reference[f"r{r}"])))
+    return row, u
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="Section name, e.g. before or after.")
+    parser.add_argument("--max-r", type=int, default=10, help="Largest register size swept.")
+    parser.add_argument("--save", default=None, help="Write the unitaries to this .npz file.")
+    parser.add_argument("--reference", default=None,
+                        help="Compare against unitaries saved by --save in another checkout.")
+    parser.add_argument("--out", default="BENCH_pulses.json")
+    args = parser.parse_args()
+
+    reference = np.load(args.reference) if args.reference else None
+    rows, unitaries = [], {}
+    for r in range(MIN_R, args.max_r + 1):
+        row, unitaries[f"r{r}"] = _row(r, reference)
+        rows.append(row)
+        print(f"r={r:2d}  median {row['median_s'] * 1e3:10.2f} ms  "
+              f"diff vs reference {row.get('max_abs_diff_vs_reference', '-')}", flush=True)
+    if args.save:
+        np.savez(args.save, **unitaries)
+
+    command = f"PYTHONPATH=src python3 scripts/bench_pulses.py --label {args.label}"
+    command += f" --max-r {args.max_r}"
+    if args.reference:
+        command += f" --reference {Path(args.reference).name}"
+    section = {
+        "command": command,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+        "sequence_unitary": rows,
+    }
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[args.label] = section
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,9 +19,9 @@ ancilla and the histogram of per-trial counts, and ``tally_outcomes``
 draws them from their exact distribution without drawing the trials:
 n(n+1)/2 binomial draws in exact-marginal mode, one multinomial over the
 2^n ancilla patterns in full-joint mode.  Time and memory are flat in the
-trial count.  ``sample_outcomes`` draws the full (trials x n) stream trial
-by trial, in blocks of a fixed byte budget, as the per-trial oracle; no
-estimator calls it.  Every trial consumes fresh copies of the state;
+trial count.  ``sample_outcomes`` draws the full (trials x n) stream in
+one draw, as the per-trial oracle; no estimator calls it.  Every trial
+consumes fresh copies of the state;
 register reuse (and the depolarize-and-reset it would need) is not modeled.
 """
 
@@ -53,11 +53,10 @@ FULL_JOINT_MAX_QUBITS = 14
 # conditioning on outcomes rarer than this is treated as impossible
 MIN_OUTCOME_PROBABILITY = 1e-12
 
-# trial counts are drawn and tallied as int64
-MAX_TRIALS = int(np.iinfo(np.int64).max)
-
-# bytes of uniforms in one block of sampled trials (8 per qubit per trial)
-_SAMPLE_BLOCK_BYTES = 1 << 20
+# numpy's int64 binomial draws are too wide beyond this count: over 200,000
+# Binomial(N, 1/2) draws their sd is sqrt(N/4) times 1.000 at N = 2**60,
+# about 1.01 at 2**61 and 1.04 at 2**62 (numpy 2.4)
+MAX_TRIALS = 2**60
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
@@ -92,7 +91,7 @@ class ProtocolRun:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials > MAX_TRIALS:
             raise ValueError(
-                f"n_trials must be <= {MAX_TRIALS} (int64 counts), got {self.n_trials}"
+                f"n_trials must be <= 2**60 (int64 binomial draws), got {self.n_trials}"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
@@ -195,10 +194,11 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     estimator calls it.
     """
     n = run.state.n_qubits
-    blocks = _outcome_blocks(run)
+    rng = np.random.default_rng(run.seed)
     if run.mode == MODE_FULL_JOINT:
-        blocks = (_bits(draws, n) for draws in blocks)
-    return np.concatenate(list(blocks))
+        joint = joint_outcome_distribution(run.state)
+        return _bits(rng.choice(joint.size, run.n_trials, p=joint), n)
+    return rng.random((run.n_trials, n)) < minus_probabilities(run.state)
 
 
 def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
@@ -231,34 +231,6 @@ def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
         bins[1 : j + 2] += moved
         minus[j] = moved.sum()
     return OutcomeTally(minus, bins)
-
-
-def _outcome_blocks(run: ProtocolRun):
-    """Consecutive blocks of the run's trials, in trial order.
-
-    exact-marginal blocks are boolean (rows, n) outcomes; full-joint blocks
-    are the drawn joint outcomes (index bit j = ancilla j), drawn by inverse
-    CDF exactly as ``Generator.choice`` does.  Every block takes whole
-    trials from one ``default_rng(seed)`` stream, so the concatenated blocks
-    equal a single draw of all trials.
-    """
-    n = run.state.n_qubits
-    rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * n))
-    rng = np.random.default_rng(run.seed)
-    if run.mode == MODE_EXACT_MARGINAL:
-        p_minus = minus_probabilities(run.state)
-
-        def draw(count):
-            return rng.random((count, n)) < p_minus
-    else:
-        cdf = np.cumsum(joint_outcome_distribution(run.state))
-        cdf /= cdf[-1]
-
-        def draw(count):
-            return cdf.searchsorted(rng.random(count), side="right")
-
-    for start in range(0, run.n_trials, rows):
-        yield draw(min(rows, run.n_trials - start))
 
 
 def _bits(patterns: np.ndarray, n: int) -> np.ndarray:

@@ -15,6 +15,12 @@ exact).  Scalar phase prefactors are not stored as pulses, but the
 e^{-i pi/8 sigma_z} factor on the control qubit of the c-SWAP is a physical
 pulse and is kept.
 
+Matrix realization: ``sequence_unitary`` contracts each pulse's local matrix,
+cos(angle) I + i sin(angle) sigma for a rotation and
+diag(e^{i angle [1, -1, -1, 1]}) for a coupling, into the qubit axes of the
+running product with the state layer's tensor kernel, O(4^r) per pulse on r
+qubits.  ``pulse_unitary`` is the same path on a one-pulse sequence.
+
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
 g > 0 a pulse exp(+i theta ZZ) therefore costs ((-theta) mod 2pi)/g; if the
@@ -36,12 +42,16 @@ from typing import Union
 
 import numpy as np
 
+from .states import _contract, _qubit_count
+
 AXES = ("x", "y", "z")
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# sigma_z sigma_z eigenvalues on |00>, |01>, |10>, |11>
+_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,10 @@ class Rotation:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-        if self.qubit < 0:
-            raise ValueError(f"qubit index must be >= 0, got {self.qubit}")
+        qubit = _qubit_count(self.qubit, "qubit")
+        if qubit < 0:
+            raise ValueError(f"qubit index must be >= 0, got {qubit}")
+        object.__setattr__(self, "qubit", qubit)
 
 
 @dataclass(frozen=True)
@@ -69,14 +81,14 @@ class IsingCoupling:
     qubits: tuple[int, int]
 
     def __post_init__(self):
-        a, b = self.qubits
+        a, b = (_qubit_count(q, "qubits") for q in self.qubits)
         if a == b:
             raise ValueError(f"Ising coupling needs two distinct qubits, got {self.qubits}")
         if min(a, b) < 0:
             raise ValueError(f"qubit indices must be >= 0, got {self.qubits}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "qubits", (int(a), int(b)))
+        object.__setattr__(self, "qubits", (a, b))
 
 
 Pulse = Union[Rotation, IsingCoupling]
@@ -91,6 +103,8 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        size = _qubit_count(self.register_size, "register_size")
+        object.__setattr__(self, "register_size", size)
         for p in self.pulses:
             targets = (p.qubit,) if isinstance(p, Rotation) else p.qubits
             if max(targets) >= self.register_size:
@@ -117,33 +131,26 @@ class CouplingModel:
 
 def pulse_unitary(pulse: Pulse, register_size: int) -> np.ndarray:
     """Full 2**register_size unitary of one pulse, identity on other qubits."""
-    dim = 2**register_size
-    if isinstance(pulse, Rotation):
-        if pulse.qubit >= register_size:
-            raise ValueError(f"pulse target {pulse.qubit} exceeds register {register_size}")
-        u2 = math.cos(pulse.angle) * np.eye(2) + 1j * math.sin(pulse.angle) * _PAULI[pulse.axis]
-        u = np.array([[1.0]], dtype=complex)
-        for q in range(register_size):
-            u = np.kron(u, u2 if q == pulse.qubit else np.eye(2))
-        return u
-    a, b = pulse.qubits
-    if max(a, b) >= register_size:
-        raise ValueError(f"pulse targets {pulse.qubits} exceed register {register_size}")
-    idx = np.arange(dim)
-    bits_a = (idx >> (register_size - 1 - a)) & 1
-    bits_b = (idx >> (register_size - 1 - b)) & 1
-    sign = np.where(bits_a == bits_b, 1.0, -1.0)
-    return np.diag(np.exp(1j * pulse.angle * sign))
+    return sequence_unitary(PulseSequence((pulse,), register_size))
 
 
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:
-    """Ordered product of the pulse unitaries (first pulse rightmost)."""
+    """Ordered product of the pulse unitaries (first pulse rightmost).
+
+    Each pulse's 2x2 or 4x4 matrix is contracted into the qubit axes of the
+    running product, O(4**register_size) per pulse.
+    """
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
-    u = np.eye(2**seq.register_size, dtype=complex)
+    r = seq.register_size
+    u = np.eye(2**r, dtype=complex).reshape([2] * r + [2**r])
     for p in seq.pulses:
-        u = pulse_unitary(p, seq.register_size) @ u
-    return u
+        if isinstance(p, Rotation):
+            local = math.cos(p.angle) * np.eye(2) + 1j * math.sin(p.angle) * _PAULI[p.axis]
+            u = _contract(local, u, [p.qubit])
+        else:
+            u = _contract(np.diag(np.exp(1j * p.angle * _ZZ_SIGNS)), u, p.qubits)
+    return u.reshape(2**r, 2**r)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +352,16 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
     try:
         pulses: list[Pulse] = []
         for entry in doc["pulses"]:
-            if entry["kind"] == "rotation":
-                (target,) = entry["targets"]
-                pulses.append(Rotation(entry["axis"], float(entry["angle"]), int(target)))
-            elif entry["kind"] == "ising":
-                a, b = entry["targets"]
-                pulses.append(IsingCoupling(float(entry["angle"]), (int(a), int(b))))
-            else:
+            if entry["kind"] not in ("rotation", "ising"):
                 raise ValueError(f"unknown pulse kind {entry['kind']!r}")
-        return PulseSequence(tuple(pulses), int(doc["register_size"]))
+            targets = [_qubit_count(t, "targets") for t in entry["targets"]]
+            if entry["kind"] == "rotation":
+                (target,) = targets
+                pulses.append(Rotation(entry["axis"], float(entry["angle"]), target))
+            else:
+                a, b = targets
+                pulses.append(IsingCoupling(float(entry["angle"]), (a, b)))
+        return PulseSequence(tuple(pulses), doc["register_size"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sequence document: {exc}") from exc
 

@@ -219,11 +219,19 @@ def apply_unitary(state: PureState, u: np.ndarray, targets: Sequence[int]) -> Pu
     m = len(targets)
     if u.shape[0] != 2**m:
         raise ValueError(f"unitary dim {u.shape[0]} != 2**{m} for {m} targets")
-    t = state.tensor()
-    t = np.moveaxis(t, targets, range(m))
+    return PureState(state.n_qubits, _contract(u, state.tensor(), targets).reshape(-1))
+
+
+def _contract(u: np.ndarray, tensor: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Contract the 2**m x 2**m matrix ``u`` into the listed axes of ``tensor``.
+
+    Axes follow the listed target order; other axes, including any trailing
+    non-qubit axis, pass through.  No checks: callers validate.
+    """
+    m = len(targets)
+    t = np.moveaxis(tensor, targets, range(m))
     t = np.tensordot(u.reshape([2] * (2 * m)), t, axes=(range(m, 2 * m), range(m)))
-    t = np.moveaxis(t, range(m), targets)
-    return PureState(state.n_qubits, t.reshape(-1))
+    return np.moveaxis(t, range(m), targets)
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
@@ -258,10 +266,10 @@ def state_to_dict(state: PureState) -> dict:
     }
 
 
-def _qubit_count(value) -> int:
-    """The n_qubits field of a state document; a bool or a fraction is malformed."""
+def _qubit_count(value, field: str = "n_qubits") -> int:
+    """An integer count or index field, such as n_qubits; a bool or a fraction is malformed."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"n_qubits must be an integer, got {value!r}")
+        raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -234,6 +234,25 @@ class TestVerify:
         result = invoke(runner, "verify", "swap", "--sequence", seq_file)
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("register_size", 2.9), ("rotation", [1.7]), ("ising", [True, 0])],
+        ids=["register-2.9", "rotation-1.7", "ising-true-0"],
+    )
+    def test_non_integral_index_exits_2(self, runner, tmp_path, field, value):
+        seq_file = tmp_path / "swap.json"
+        invoke(runner, "verify", "swap", "--out", seq_file)
+        doc = json.loads(seq_file.read_text())
+        if field == "register_size":
+            doc["register_size"] = value
+        else:
+            pulse = next(p for p in doc["pulses"] if p["kind"] == field)
+            pulse["targets"] = value
+        seq_file.write_text(json.dumps(doc))
+        result = invoke(runner, "verify", "swap", "--sequence", seq_file)
+        assert result.exit_code == 2
+        assert "must be an integer" in result.output
+
 
 class TestProtocol:
     def test_ghz3_sampled_estimate(self, runner, tmp_path):
@@ -304,6 +323,14 @@ class TestProtocol:
         result = invoke(runner, "protocol", path, "--trials", 100)
         assert result.exit_code == 1
         assert "n >= 2" in result.output
+
+    def test_trials_beyond_cap_exits_1(self, runner, tmp_path):
+        path = tmp_path / "g.json"
+        invoke(runner, "gen", "ghz", "--n", 2, "--out", path)
+        result = invoke(runner, "protocol", path, "--trials", 2**60 + 1)
+        assert result.exit_code == 1
+        assert "2**60" in result.output
+        assert invoke(runner, "protocol", path, "--trials", 2**60).exit_code == 0
 
     def test_sweep_parse_error_names_option(self, runner, tmp_path):
         path = tmp_path / "w3.json"

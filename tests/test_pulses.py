@@ -1,10 +1,13 @@
 """Tests for pulse sequences, gate constructions, and time accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qent.pulses import (
+    AXES,
     CouplingModel,
     IsingCoupling,
     PulseSequence,
@@ -92,7 +95,7 @@ class TestSequenceUnitary:
     def test_single_pulse(self):
         p = Rotation("y", 0.4, 1)
         seq = PulseSequence((p,), 2)
-        assert np.allclose(sequence_unitary(seq), pulse_unitary(p, 2))
+        assert np.allclose(sequence_unitary(seq), expm_oracle(p, 2), atol=1e-12)
 
     def test_pulse_then_inverse_is_identity(self):
         seq = PulseSequence((Rotation("x", 0.7, 0), Rotation("x", -0.7, 0)), 1)
@@ -101,7 +104,7 @@ class TestSequenceUnitary:
     def test_order_is_first_pulse_rightmost(self):
         a, b = Rotation("x", 0.3, 0), Rotation("z", 0.5, 0)
         seq = PulseSequence((a, b), 1)
-        expected = pulse_unitary(b, 1) @ pulse_unitary(a, 1)
+        expected = expm_oracle(b, 1) @ expm_oracle(a, 1)
         assert np.allclose(sequence_unitary(seq), expected, atol=1e-12)
 
     def test_rejects_empty(self):
@@ -111,6 +114,69 @@ class TestSequenceUnitary:
     def test_sequence_rejects_oversized_targets(self):
         with pytest.raises(ValueError):
             PulseSequence((Rotation("x", 0.1, 5),), 2)
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_matches_ordered_expm_product(self, r, rng):
+        pairs = [pair for a, b in itertools.combinations(range(r), 2) for pair in ((a, b), (b, a))]
+        for _ in range(3):
+            # every axis on every qubit and every pair in both orders, shuffled
+            angles = iter(rng.uniform(-3, 3, 3 * r + len(pairs)))
+            pulses = [Rotation(axis, float(next(angles)), q) for q in range(r) for axis in AXES]
+            pulses += [IsingCoupling(float(next(angles)), pair) for pair in pairs]
+            seq = PulseSequence(tuple(pulses[i] for i in rng.permutation(len(pulses))), r)
+            expected = np.eye(2**r)
+            for p in seq.pulses:
+                expected = expm_oracle(p, r) @ expected
+            assert np.max(np.abs(sequence_unitary(seq) - expected)) < 1e-12
+
+
+class TestPulseIndices:
+    @pytest.mark.parametrize("bad", [1.7, True])
+    def test_pulses_reject_non_integral_indices(self, bad):
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            Rotation("x", 0.1, bad)
+        with pytest.raises(ValueError, match="qubits must be an integer"):
+            IsingCoupling(0.1, (bad, 0))
+        with pytest.raises(ValueError, match="qubits must be an integer"):
+            IsingCoupling(0.1, (2, bad))
+
+    @pytest.mark.parametrize("bad", [2.9, True])
+    def test_sequence_rejects_non_integral_register(self, bad):
+        with pytest.raises(ValueError, match="register_size must be an integer"):
+            PulseSequence((), bad)
+
+    def test_integral_floats_become_ints(self):
+        rotation = Rotation("x", 0.1, 1.0)
+        coupling = IsingCoupling(0.1, (0.0, 2.0))
+        seq = PulseSequence((rotation, coupling), 3.0)
+        assert rotation == Rotation("x", 0.1, 1) and type(rotation.qubit) is int
+        assert coupling.qubits == (0, 2) and all(type(q) is int for q in coupling.qubits)
+        assert seq.register_size == 3 and type(seq.register_size) is int
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("register_size", 2.9), ("register_size", True), ("rotation", [1.7]),
+         ("rotation", [True]), ("ising", [True, 0]), ("ising", [0, 1.5])],
+        ids=["register-2.9", "register-true", "rotation-1.7", "rotation-true",
+             "ising-true-0", "ising-0-1.5"],
+    )
+    def test_document_rejects_non_integral_index(self, field, value):
+        doc = sequence_to_dict(swap_sequence(0, 1))
+        if field == "register_size":
+            doc["register_size"] = value
+        else:
+            next(p for p in doc["pulses"] if p["kind"] == field)["targets"] = value
+            field = "targets"
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            sequence_from_dict(doc)
+
+    def test_document_accepts_integral_floats(self):
+        seq = swap_sequence(0, 1)
+        doc = sequence_to_dict(seq)
+        doc["register_size"] = 2.0
+        for pulse in doc["pulses"]:
+            pulse["targets"] = [float(t) for t in pulse["targets"]]
+        assert sequence_from_dict(doc) == seq
 
 
 class TestSwapSequence:
