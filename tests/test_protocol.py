@@ -234,13 +234,20 @@ class TestSampling:
 
 def one_shot_outcomes(run: ProtocolRun) -> np.ndarray:
     """Reference stream: every trial in one draw, as a single block."""
+    return streamed_outcomes(run, run.n_trials)
+
+
+def streamed_outcomes(run: ProtocolRun, rows: int) -> np.ndarray:
+    """Reference stream read from the run's generator `rows` trials at a time."""
     n = run.state.n_qubits
     rng = np.random.default_rng(run.seed)
+    sizes = [min(rows, run.n_trials - start) for start in range(0, run.n_trials, rows)]
     if run.mode == MODE_FULL_JOINT:
         probs = joint_outcome_distribution(run.state)
-        draws = rng.choice(probs.size, size=run.n_trials, p=probs)
+        draws = np.concatenate([rng.choice(probs.size, size=size, p=probs) for size in sizes])
         return ((draws[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    return rng.random((run.n_trials, n)) < minus_probabilities(run.state)[np.newaxis, :]
+    p_minus = minus_probabilities(run.state)[np.newaxis, :]
+    return np.concatenate([rng.random((size, n)) < p_minus for size in sizes])
 
 
 def tally_of(outcomes: np.ndarray) -> OutcomeTally:
@@ -292,6 +299,11 @@ class TestOutcomeBlocks:
     def run(self, mode, n_trials):
         return ProtocolRun(random_state(3, 29), n_trials, 1000 + n_trials, mode)
 
+    @pytest.fixture(params=[1, 2, 3], ids=lambda r: f"rows{r}")
+    def stream(self, request, run):
+        # the run's generator read in blocks of `rows` trials
+        return streamed_outcomes(run, request.param)
+
     @pytest.fixture(params=MODES)
     def mode(self, request):
         return request.param
@@ -300,17 +312,21 @@ class TestOutcomeBlocks:
     def n_trials(self, request):
         return request.param
 
-    def test_stream_equals_one_shot_draw(self, run):
+    def test_stream_equals_one_shot_draw(self, stream, run):
+        # one draw of all trials reads the generator as any block stream does
         outcomes = sample_outcomes(run)
         assert outcomes.dtype == bool
         assert np.array_equal(outcomes, one_shot_outcomes(run))
+        assert np.array_equal(outcomes, stream)
 
-    def test_tally_counts_the_stream(self, run):
-        # the tally is the count of some T-trial stream
+    def test_tally_counts_the_stream(self, stream, run):
+        # the tally is the count of some T-trial stream; a drawn stream's own
+        # count passes the same check
         assert is_realizable(tally_outcomes(run), run.n_trials)
+        assert is_realizable(tally_of(stream), run.n_trials)
 
-    def test_estimates_match_outcome_matrix(self, run):
-        outcomes = one_shot_outcomes(run)
+    def test_estimates_match_outcome_matrix(self, stream, run):
+        outcomes = stream
         per_trial = 4.0 / run.state.n_qubits * outcomes.sum(axis=1)
         mean = per_trial.mean()
         se = per_trial.std(ddof=1) / np.sqrt(run.n_trials) if run.n_trials > 1 else 0.0
