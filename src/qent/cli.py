@@ -208,7 +208,9 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
 @click.option("--trials", type=int, default=None, help="Number of sampled trials.")
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @click.option("--mode", type=click.Choice(["exact", "joint"]), default="exact",
-              show_default=True, help="exact per-qubit marginals or full-joint simulation.")
+              show_default=True,
+              help="exact per-qubit marginals, or the full joint ancilla distribution "
+                   "(n <= 12).")
 @click.option("--subset", type=str, default=None,
               help="Comma-separated qubit subset: run the subset-purity protocol instead.")
 @click.option("--sweep", type=str, default=None,

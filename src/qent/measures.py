@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, check_subset, purity, reduced_density
+from .states import PureState, check_subset, subset_purities
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
@@ -127,7 +127,7 @@ def q_direct(state: PureState) -> float:
 def q_purity(state: PureState) -> float:
     """Q from single-qubit purities: 2 (1 - mean_k Tr[rho_k^2])."""
     n = _check_measurable(state)
-    mean = np.mean([purity(reduced_density(state, [k])) for k in range(n)])
+    mean = np.mean(subset_purities(state, [[k] for k in range(n)]))
     return float(2.0 * (1.0 - mean))
 
 

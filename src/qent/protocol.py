@@ -12,6 +12,18 @@ of 1s per shot equals n*Q/4 exactly.  (Some write-ups attach the count to
 p(+); with the p(+-) convention above only the minus outcome reproduces the
 n*Q/4 identity, so that labeling is used throughout.)
 
+Every exact quantity comes from subset purities, all computed by the state
+layer's stacked kernel ``subset_purities``: the per-qubit p(-) from the n
+single-qubit purities, and the joint distribution of the n ancilla bits
+from the table of all 2^n of them by the swap-trick identity
+
+    p(b) = 2^-n sum_S (-1)^{|b & S|} Tr[rho_S^2],
+
+an n-axis Walsh-Hadamard transform (Ekert et al., PRL 88, 217901 (2002)).
+Full-joint mode is capped at n = 12, where the table takes about 0.5 s.
+``joint_outcome_distribution`` and ``subset_purity_circuit`` simulate the
+3n-qubit and (|S| + 2n)-qubit circuits instead and serve only as oracles.
+
 Sampling is seed-deterministic: a run draws from a single PCG64 stream
 (``numpy.random.default_rng(seed)``), so a seed fixes the tally bit for bit.
 The estimator needs only two integer tallies, the number of "1"s on each
@@ -27,6 +39,7 @@ register reuse (and the depolarize-and-reset it would need) is not modeled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,7 +53,7 @@ from .states import (
     apply_unitary,
     check_subset,
     purity,
-    reduced_density,
+    subset_purities,
 )
 
 MODE_EXACT_MARGINAL = "exact-marginal"
@@ -48,7 +61,12 @@ MODE_FULL_JOINT = "full-joint"
 MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 
 # dense-vector feasibility bound for simulating all three registers at once
+# (the joint_outcome_distribution and subset_purity_circuit oracles)
 FULL_JOINT_MAX_QUBITS = 14
+
+# full-joint mode reads a table of all 2^n subset purities, which takes about
+# 0.5 s at n = 12, 2 s at n = 13 and 11 s at n = 14 (BENCH_purity.json to 12)
+JOINT_MODE_MAX_QUBITS = 12
 
 # conditioning on outcomes rarer than this is treated as impossible
 MIN_OUTCOME_PROBABILITY = 1e-12
@@ -95,9 +113,10 @@ class ProtocolRun:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.mode == MODE_FULL_JOINT and 3 * self.state.n_qubits > FULL_JOINT_MAX_QUBITS:
+        if self.mode == MODE_FULL_JOINT and self.state.n_qubits > JOINT_MODE_MAX_QUBITS:
             raise ValueError(
-                f"full-joint mode needs 3*n_qubits <= {FULL_JOINT_MAX_QUBITS}, "
+                f"full-joint mode reads all 2**n subset purities and is capped at "
+                f"JOINT_MODE_MAX_QUBITS = {JOINT_MODE_MAX_QUBITS} qubits, "
                 f"got n_qubits = {self.state.n_qubits}"
             )
 
@@ -166,9 +185,7 @@ def copy_marginal(doubled: DensityMatrix, copy: str = "a") -> DensityMatrix:
 
 def minus_probabilities(state: PureState) -> np.ndarray:
     """Exact per-qubit p(-) = (1 - Tr[rho_k^2])/2."""
-    return np.array(
-        [(1.0 - purity(reduced_density(state, [k]))) / 2.0 for k in range(state.n_qubits)]
-    )
+    return (1.0 - subset_purities(state, [[k] for k in range(state.n_qubits)])) / 2.0
 
 
 def q_protocol_exact(state: PureState) -> float:
@@ -186,9 +203,9 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     """Boolean array (n_trials, n_qubits): True where ancilla j read "1".
 
     exact-marginal mode draws each ancilla independently from its exact
-    p(-); full-joint mode simulates all three registers through the bitwise
-    c-SWAP circuit and samples the joint ancilla distribution, preserving
-    inter-qubit outcome correlations.  The array grows with n_trials.  It is
+    p(-); full-joint mode samples the joint ancilla distribution that
+    ``tally_outcomes`` reads, preserving inter-qubit outcome correlations.
+    The array grows with n_trials.  It is
     the per-trial oracle of ``tally_outcomes``, whose tally has the same
     distribution as this stream's counts but is drawn without it; no
     estimator calls it.
@@ -196,7 +213,7 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     n = run.state.n_qubits
     rng = np.random.default_rng(run.seed)
     if run.mode == MODE_FULL_JOINT:
-        joint = joint_outcome_distribution(run.state)
+        joint = _joint_distribution(run.state)
         return _bits(rng.choice(joint.size, run.n_trials, p=joint), n)
     return rng.random((run.n_trials, n)) < minus_probabilities(run.state)
 
@@ -215,7 +232,7 @@ def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
     n = run.state.n_qubits
     rng = np.random.default_rng(run.seed)
     if run.mode == MODE_FULL_JOINT:
-        patterns = rng.multinomial(run.n_trials, joint_outcome_distribution(run.state))
+        patterns = rng.multinomial(run.n_trials, _joint_distribution(run.state))
         bits = _bits(np.arange(2**n), n)
         histogram = np.zeros(n + 1, dtype=np.int64)
         np.add.at(histogram, bits.sum(axis=1), patterns)
@@ -239,12 +256,41 @@ def _bits(patterns: np.ndarray, n: int) -> np.ndarray:
     return ((patterns[:, np.newaxis] >> shifts[np.newaxis, :]) & 1).astype(bool)
 
 
+def _joint_distribution(state: PureState) -> np.ndarray:
+    """Joint distribution of the n ancilla bits from the subset-purity table.
+
+    The swap tests measure prod_j (1 +- SWAP_j)/2 on two copies, so
+
+        p(b) = 2^-n sum_S (-1)^{|b & S|} Tr[rho_S^2],   Tr[rho_empty^2] = 1,
+
+    an n-axis Walsh-Hadamard transform of the table of all 2^n subset
+    purities.  A pure state gives S and its complement the same purity, so
+    each entry is computed on the smaller side of its cut, and a half-size
+    cut once for both sides.  The transform rounds true zeros to about
+    -1e-17, hence the clip and renormalisation.
+    """
+    n = state.n_qubits
+    table = np.ones(2**n)  # the empty set and the whole register are pure
+    # qubit q is bit n-1-q of a subset's index, as ancilla j is of b's
+    weights = 1 << np.arange(n - 1, -1, -1)
+    for m in range(1, n // 2 + 1):
+        subsets = [s for s in itertools.combinations(range(n), m) if 2 * m < n or s[0] == 0]
+        index = weights[np.array(subsets)].sum(axis=1)
+        table[index] = table[2**n - 1 - index] = subset_purities(state, subsets)
+    for q in range(n):
+        halves = table.reshape(2**q, 2, -1)
+        table = np.stack((halves[:, 0] + halves[:, 1], halves[:, 0] - halves[:, 1]), axis=1)
+    probs = np.clip(table.reshape(-1) / 2**n, 0.0, None)
+    return probs / probs.sum()
+
+
 def joint_outcome_distribution(state: PureState) -> np.ndarray:
     """Exact joint distribution of the n ancilla bits (index bit j = ancilla j).
 
     Simulates the full 3n-qubit protocol: ancillas in |+>^n, two copies of
     the state, a c-SWAP per column, then a Hadamard on each ancilla so the
-    computational bit 1 marks the sigma_x minus outcome.
+    computational bit 1 marks the sigma_x minus outcome.  It is the oracle of
+    ``_joint_distribution``, which the samplers read; no estimator calls it.
     """
     n = state.n_qubits
     if 3 * n > FULL_JOINT_MAX_QUBITS:
@@ -317,12 +363,12 @@ def convergence_sweep(
 
 
 def subset_purity_exact(state: PureState, subset) -> float:
-    """Tr[rho_subset^2] by partial trace.
+    """Tr[rho_subset^2] by partial trace, through the stacked purity kernel.
 
     ``subset_purity_circuit`` computes the same value by simulating the
     protocol's circuit and serves as its independent oracle.
     """
-    return purity(reduced_density(state, subset))
+    return float(subset_purities(state, [subset])[0])
 
 
 subset_purity_direct = subset_purity_exact

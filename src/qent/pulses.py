@@ -15,11 +15,13 @@ exact).  Scalar phase prefactors are not stored as pulses, but the
 e^{-i pi/8 sigma_z} factor on the control qubit of the c-SWAP is a physical
 pulse and is kept.
 
-Matrix realization: ``sequence_unitary`` contracts each pulse's local matrix,
-cos(angle) I + i sin(angle) sigma for a rotation and
-diag(e^{i angle [1, -1, -1, 1]}) for a coupling, into the qubit axes of the
-running product with the state layer's tensor kernel, O(4^r) per pulse on r
-qubits.  ``pulse_unitary`` is the same path on a one-pulse sequence.
+Matrix realization: ``sequence_unitary`` applies each pulse to the running
+product in place of a dense pulse matrix, O(4^r) per pulse on r qubits.  A
+coupling is a phase vector, exp(i angle z_a z_b) with z_q the +-1 sign of
+qubit q on each basis state, multiplied into the rows; a rotation is one
+2x2 step, cos(angle) I + i sin(angle) sigma applied to the product viewed
+as (2^q, 2, rest).  ``pulse_unitary`` is the same path on a one-pulse
+sequence.
 
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
@@ -42,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .states import _contract, _qubit_count
+from .states import _qubit_count
 
 AXES = ("x", "y", "z")
 _PAULI = {
@@ -50,8 +52,7 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# sigma_z sigma_z eigenvalues on |00>, |01>, |10>, |11>
-_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_IDENTITY = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -137,20 +138,27 @@ def pulse_unitary(pulse: Pulse, register_size: int) -> np.ndarray:
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Ordered product of the pulse unitaries (first pulse rightmost).
 
-    Each pulse's 2x2 or 4x4 matrix is contracted into the qubit axes of the
-    running product, O(4**register_size) per pulse.
+    A coupling on (a, b) is diagonal: it multiplies row i of the running
+    product by exp(i angle z_a[i] z_b[i]), where z_q is the +-1 sign vector
+    of qubit q over the basis.  A rotation on qubit q applies its 2x2 matrix
+    to the product viewed as (2^q, 2, rest).  Both are O(4**register_size)
+    per pulse.
     """
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
     r = seq.register_size
-    u = np.eye(2**r, dtype=complex).reshape([2] * r + [2**r])
+    dim = 2**r
+    bits = (np.arange(dim) >> np.arange(r - 1, -1, -1)[:, np.newaxis]) & 1
+    signs = 1.0 - 2.0 * bits
+    u = np.eye(dim, dtype=complex)
     for p in seq.pulses:
         if isinstance(p, Rotation):
-            local = math.cos(p.angle) * np.eye(2) + 1j * math.sin(p.angle) * _PAULI[p.axis]
-            u = _contract(local, u, [p.qubit])
+            local = math.cos(p.angle) * _IDENTITY + 1j * math.sin(p.angle) * _PAULI[p.axis]
+            u = np.matmul(local, u.reshape(2**p.qubit, 2, -1)).reshape(dim, dim)
         else:
-            u = _contract(np.diag(np.exp(1j * p.angle * _ZZ_SIGNS)), u, p.qubits)
-    return u.reshape(2**r, 2**r)
+            a, b = p.qubits
+            u *= np.exp(1j * p.angle * (signs[a] * signs[b]))[:, np.newaxis]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +278,7 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     if u.shape != v.shape:
         raise ValueError(f"shapes differ: {u.shape} vs {v.shape}")
     dim = u.shape[0]
-    tr = np.trace(u.conj().T @ v)
+    tr = np.vdot(u, v)  # Tr(u^dag v)
     if abs(tr) / dim <= 1 - tol:
         return False
     return phase_aligned_deviation(u, v) < tol * dim
@@ -282,7 +290,7 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"shapes differ: {u.shape} vs {v.shape}")
-    tr = np.trace(u.conj().T @ v)
+    tr = np.vdot(u, v)  # Tr(u^dag v)
     if abs(tr) < 1e-15:
         return float(np.max(np.abs(u - v)))
     return float(np.max(np.abs(u - v * (abs(tr) / tr))))

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# bounds |<psi|psi> - 1|, the trace of every reduced state of psi, so that a
+# state within it gives reduced states within TRACE_ATOL
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -28,6 +30,14 @@ UNITARY_ATOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 # largest register a state may have: the amplitude vector alone is 1 GiB here
 MAX_QUBITS = 26
+# bytes of the transposed amplitude copies and their conjugates that one
+# chunk of subset_purities holds; the 462 size-6 subsets of an n = 12 table
+# in one chunk would hold about 60 MiB of them, and as much again in Grams
+_STACK_BYTES = 1 << 22
+# from this size on, subset_purities reads single qubits from strided views
+# of the amplitudes instead of their transposed copies: about 4x faster at
+# n = 12, while below n = 10 the copies are faster, taking fewer numpy calls
+_QUBIT_VIEW_MIN_QUBITS = 11
 
 
 def _frozen_complex_array(data, shape) -> np.ndarray:
@@ -57,9 +67,9 @@ class PureState:
                 f"amplitude vector has length {amps.size}, "
                 f"expected 2**{self.n_qubits} = {2**self.n_qubits}"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
+        norm2 = float(np.vdot(amps, amps).real)
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
+            raise ValueError(f"state squared norm {norm2!r} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -82,16 +92,40 @@ class DensityMatrix:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         mat = _frozen_complex_array(self.entries, (self.dim, self.dim))
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if not dev <= HERMITIAN_ATOL:
-            raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
-        tr = np.trace(mat)
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR}")
+        _check_density_stack(mat[np.newaxis])
         object.__setattr__(self, "entries", mat)
+
+
+def _check_density_stack(mats: np.ndarray) -> None:
+    """Hermitian, unit-trace and eigenvalue-floor checks on a (k, d, d) stack.
+
+    The one implementation of the density-matrix checks: ``DensityMatrix``
+    runs it on a stack of one, ``subset_purities`` on its whole stack.
+    """
+    k = len(mats)
+    dev = np.abs(mats - mats.conj().swapaxes(1, 2)).reshape(k, -1).max(axis=1)
+    ok = dev <= HERMITIAN_ATOL
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(f"matrix{_position(i, k)} deviates from Hermitian by {dev[i]:.3e}")
+    tr = mats.trace(axis1=1, axis2=2)
+    ok = np.abs(tr - 1.0) <= TRACE_ATOL
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(
+            f"trace {tr[i]!r} of matrix{_position(i, k)} deviates from 1 beyond {TRACE_ATOL}"
+        )
+    lo = np.linalg.eigvalsh(mats)[:, 0]
+    low = lo < EIGENVALUE_FLOOR
+    if low.any():
+        i = np.argmax(low)
+        raise ValueError(
+            f"matrix{_position(i, k)} has eigenvalue {lo[i]:.3e} below {EIGENVALUE_FLOOR}"
+        )
+
+
+def _position(i: int, k: int) -> str:
+    return "" if k == 1 else f" {i} of the stack"
 
 
 def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
@@ -140,7 +174,7 @@ def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
     for k, f in enumerate(factors):
         if f.size != 2:
             raise ValueError(f"factor {k} has length {f.size}, expected 2")
-        if not abs(np.linalg.norm(f) - 1.0) <= NORM_ATOL:
+        if not abs(np.vdot(f, f).real - 1.0) <= NORM_ATOL:
             raise ValueError(f"factor {k} is not normalized")
         amps = np.kron(amps, f)
     return PureState(len(factors), amps)
@@ -248,6 +282,76 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.sum(np.abs(rho.entries) ** 2))
 
 
+def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Tr[rho_S^2] for each of several same-size qubit subsets S.
+
+    The reduced density matrices are built as one (k, d, d) stack, run through
+    the checks ``DensityMatrix`` applies, and reduced to their purities.
+    Subsets are taken in chunks so that the stack's working memory stays near
+    ``_STACK_BYTES`` whatever their number.
+    """
+    n = state.n_qubits
+    subsets = [check_subset(s, n) for s in subsets]
+    if not subsets:
+        raise ValueError("subset_purities needs at least one subset")
+    m = len(subsets[0])
+    if any(len(s) != m for s in subsets):
+        sizes = sorted({len(s) for s in subsets})
+        raise ValueError(f"subsets must all have one size, got sizes {sizes}")
+    if m == 1 and n >= _QUBIT_VIEW_MIN_QUBITS:
+        stacks = [_qubit_stack(state, [s[0] for s in subsets])]
+    else:
+        chunk = max(1, _STACK_BYTES // (2 * state.amplitudes.nbytes))
+        stacks = (
+            _gram_stack(state, subsets[i : i + chunk]) for i in range(0, len(subsets), chunk)
+        )
+    purities = []
+    for rho in stacks:
+        _check_density_stack(rho)
+        # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2
+        purities.append((np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1))
+    return np.concatenate(purities)
+
+
+def _gram_stack(state: PureState, subsets: list[tuple[int, ...]]) -> np.ndarray:
+    """rho_S = M_S M_S^dag for each subset, M_S the amplitudes as a (2^|S|, rest) matrix."""
+    n, tensor = state.n_qubits, state.tensor()
+    d = 2 ** len(subsets[0])
+    mats = np.empty((len(subsets), d, 2**n // d), dtype=complex)
+    for mat, keep in zip(mats, subsets):
+        rest = [q for q in range(n) if q not in keep]
+        mat.reshape([2] * n)[...] = tensor.transpose(list(keep) + rest)
+    return np.matmul(mats, mats.conj().swapaxes(1, 2))
+
+
+def _qubit_stack(state: PureState, qubits: list[int]) -> np.ndarray:
+    """(k, 2, 2) reduced density matrices of single qubits.
+
+    No transposed copy of the amplitude vector is made, which a Gram product
+    would need for every qubit.  The diagonals come from halving the weight
+    vector |a|^2 once per qubit: its two halves hold qubit 0's two weights,
+    and their sum is the weight vector of the remaining qubits, so all n take
+    O(2^n) work.  rho_01 of qubit q sums a[:, 0, :] conj(a[:, 1, :]) over the
+    amplitudes viewed as (2^q, 2, rest).
+    """
+    amps = state.amplitudes
+    diag = np.empty((state.n_qubits, 2))
+    weights = amps.real**2 + amps.imag**2
+    for q in range(state.n_qubits):
+        halves = weights.reshape(2, -1)
+        diag[q] = halves.sum(axis=1)
+        weights = halves[0] + halves[1]
+    conj = amps.conj()
+    off = np.empty(len(qubits), dtype=complex)
+    for i, q in enumerate(qubits):
+        a, c = amps.reshape(2**q, 2, -1), conj.reshape(2**q, 2, -1)
+        off[i] = np.einsum("ij,ij->", a[:, 0], c[:, 1])
+    rho = np.empty((len(qubits), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = diag[qubits].T
+    rho[:, 0, 1], rho[:, 1, 0] = off, off.conj()
+    return rho
+
+
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.n_qubits != b.n_qubits:
@@ -267,8 +371,8 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def _qubit_count(value, field: str = "n_qubits") -> int:
-    """An integer count or index field, such as n_qubits; a bool or a fraction is malformed."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer count or index field, such as n_qubits; a bool, a string or a fraction is malformed."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
 

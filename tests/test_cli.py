@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qent import measures
+from qent import ghz_state, measures, protocol
 from qent.cli import main
 from qent.states import save_state
 
@@ -127,6 +127,17 @@ class TestQ:
         result = invoke(runner, "q", bad)
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_norm_edge_gives_one_verdict_on_every_route(self, runner, tmp_path, sign):
+        amps = ghz_state(3).amplitudes
+        path = tmp_path / "edge.json"
+        # norm 1 +- 0.9e-10 is out of tolerance; squared norm 1 +- 0.9e-10 is in
+        for scale, code in ((1 + sign * 0.9e-10, 1), (np.sqrt(1 + sign * 0.9e-10), 0)):
+            pairs = (amps * scale).view(float).reshape(-1, 2).tolist()
+            path.write_text(json.dumps({"n_qubits": 3, "amplitudes": pairs}))
+            for route in ("all", "direct", "purity", "protocol"):
+                assert invoke(runner, "q", path, "--route", route).exit_code == code
+
     def test_single_qubit_state_exits_1(self, runner, tmp_path):
         # Q is undefined without a remainder register to project onto
         path = tmp_path / "one.json"
@@ -152,7 +163,7 @@ class TestQ:
         assert result.exit_code == 1
         assert "MAX_QUBITS" in result.output
 
-    @pytest.mark.parametrize("n_qubits", ["2.9", "true"])
+    @pytest.mark.parametrize("n_qubits", ["2.9", "true", '"1"'])
     def test_non_integral_qubit_count_exits_2(self, runner, tmp_path, n_qubits):
         path = tmp_path / "frac.json"
         amps = [[1, 0], [0, 0], [0, 0], [0, 0]] if n_qubits == "2.9" else [[1, 0], [0, 0]]
@@ -236,8 +247,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("register_size", 2.9), ("rotation", [1.7]), ("ising", [True, 0])],
-        ids=["register-2.9", "rotation-1.7", "ising-true-0"],
+        [("register_size", 2.9), ("rotation", [1.7]), ("ising", [True, 0]),
+         ("register_size", "2"), ("rotation", ["0"]), ("ising", ["0", "1"])],
+        ids=["register-2.9", "rotation-1.7", "ising-true-0",
+             "register-str", "rotation-str", "ising-str"],
     )
     def test_non_integral_index_exits_2(self, runner, tmp_path, field, value):
         seq_file = tmp_path / "swap.json"
@@ -287,10 +300,23 @@ class TestProtocol:
         assert invoke(runner, "protocol", path, "--subset", "zero").exit_code == 1
 
     def test_joint_mode_beyond_bound_fails(self, runner, tmp_path):
-        path = tmp_path / "g5.json"
-        invoke(runner, "gen", "ghz", "--n", 5, "--out", path)
+        path = tmp_path / "g13.json"
+        invoke(runner, "gen", "ghz", "--n", protocol.JOINT_MODE_MAX_QUBITS + 1, "--out", path)
         result = invoke(runner, "protocol", path, "--trials", 10, "--mode", "joint")
         assert result.exit_code == 1
+        assert "JOINT_MODE_MAX_QUBITS = 12" in result.output
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_joint_mode_runs_up_to_the_cap(self, runner, tmp_path, n):
+        path = tmp_path / f"g{n}.json"
+        invoke(runner, "gen", "ghz", "--n", n, "--out", path)
+        args = ("protocol", path, "--trials", 100_000, "--mode", "joint", "--seed", 9)
+        first, again = invoke(runner, *args), invoke(runner, *args)
+        assert first.exit_code == 0 and first.output == again.output
+        doc = json.loads(first.output)
+        assert doc["mode"] == "full-joint"
+        # GHZ: every qubit is maximally mixed, p(-) = 1/4 and Q = 1
+        assert abs(doc["q_estimate"] - 1.0) < 5 * doc["std_error"]
 
     def test_sweep_csv(self, runner, tmp_path):
         path = tmp_path / "w3.json"

@@ -195,6 +195,17 @@ class TestQRoutes:
         assert abs(q_direct(w_state(n)) - expected) < 1e-12
         assert abs(q_purity(w_state(n)) - expected) < 1e-12
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_norm_tolerance_matches_the_purity_routes(self, sign):
+        # every reduced state of psi has trace <psi|psi>, checked against
+        # TRACE_ATOL, so PureState bounds <psi|psi> - 1 by the same 1e-10
+        amps = ghz_state(3).amplitudes
+        with pytest.raises(ValueError, match="norm"):
+            PureState(3, amps * (1 + sign * 0.9e-10))
+        edge = PureState(3, amps * np.sqrt(1 + sign * 0.9e-10))
+        for q in (q_direct(edge), q_purity(edge), q_protocol_exact(edge)):
+            assert abs(q - 1.0) < 1e-9
+
     def test_bell_bell_and_ghz4_both_maximal(self):
         assert abs(q_purity(bell_bell()) - 1.0) < 1e-12
         assert abs(q_purity(ghz_state(4)) - 1.0) < 1e-12

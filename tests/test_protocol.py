@@ -10,6 +10,7 @@ from scipy import stats as scipy_stats
 from qent import (
     DensityMatrix,
     ProtocolRun,
+    cluster_state,
     convergence_sweep,
     copy_marginal,
     ghz_state,
@@ -33,6 +34,7 @@ from qent import (
 )
 from qent import protocol
 from qent.protocol import (
+    JOINT_MODE_MAX_QUBITS,
     MODE_EXACT_MARGINAL,
     MODE_FULL_JOINT,
     MAX_TRIALS,
@@ -218,9 +220,17 @@ class TestSampling:
         assert np.max(np.abs(joint - product)) > 0.1
 
     def test_full_joint_feasibility_bound(self, rng):
-        state = random_state(5, rng)  # 15 qubits total
-        with pytest.raises(ValueError, match="full-joint"):
+        state = random_state(JOINT_MODE_MAX_QUBITS + 1, rng)
+        with pytest.raises(ValueError, match="full-joint.*JOINT_MODE_MAX_QUBITS = 12"):
             ProtocolRun(state, 10, 0, MODE_FULL_JOINT)
+
+    @pytest.mark.parametrize("n", [5, JOINT_MODE_MAX_QUBITS])
+    def test_full_joint_runs_up_to_the_cap(self, rng, n):
+        state = random_state(n, rng)
+        run = ProtocolRun(state, 100_000, 3, MODE_FULL_JOINT)
+        stats = q_protocol_sampled(run)
+        assert stats == q_protocol_sampled(run)
+        assert abs(stats.estimate - q_purity(state)) < 5 * stats.std_error
 
     def test_run_validation(self, rng):
         state = random_state(2, rng)
@@ -230,6 +240,43 @@ class TestSampling:
             ProtocolRun(state, 10, -1)
         with pytest.raises(ValueError):
             ProtocolRun(state, 10, 0, "sideways")
+
+
+class TestJointTable:
+    """The production joint distribution, read from the subset-purity table."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_circuit_simulation(self, rng, n):
+        for state in (random_state(n, rng), cluster_state(n), ghz_state(n), w_state(n),
+                      random_product_state(n, rng)):
+            got = protocol._joint_distribution(state)
+            assert np.max(np.abs(got - joint_outcome_distribution(state))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, JOINT_MODE_MAX_QUBITS + 1))
+    def test_ghz_closed_form(self, n):
+        # Tr[rho_S^2] = 1/2 on every proper nonempty subset
+        weight = protocol._bits(np.arange(2**n), n).sum(axis=1)
+        want = np.where(weight % 2 == 0, 2.0**-n, 0.0)
+        want[0] = 0.5 + 2.0**-n
+        assert np.max(np.abs(protocol._joint_distribution(ghz_state(n)) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_marginals_and_mean_count(self, rng, n):
+        for state in (random_state(n, rng), cluster_state(n), w_state(n)):
+            probs = protocol._joint_distribution(state)
+            bits = protocol._bits(np.arange(2**n), n)
+            assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(probs @ bits - minus_probabilities(state))) < 1e-12
+            assert abs(probs @ bits.sum(axis=1) - n * q_purity(state) / 4) < 1e-12
+
+    def test_samplers_never_run_the_circuit_simulation(self, monkeypatch):
+        def forbidden(state):
+            raise AssertionError("joint_outcome_distribution ran")
+
+        monkeypatch.setattr(protocol, "joint_outcome_distribution", forbidden)
+        run = ProtocolRun(ghz_state(3), 1000, 1, MODE_FULL_JOINT)
+        tally_outcomes(run)
+        sample_outcomes(run)
 
 
 def one_shot_outcomes(run: ProtocolRun) -> np.ndarray:

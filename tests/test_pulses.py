@@ -156,9 +156,10 @@ class TestPulseIndices:
     @pytest.mark.parametrize(
         "field,value",
         [("register_size", 2.9), ("register_size", True), ("rotation", [1.7]),
-         ("rotation", [True]), ("ising", [True, 0]), ("ising", [0, 1.5])],
+         ("rotation", [True]), ("ising", [True, 0]), ("ising", [0, 1.5]),
+         ("register_size", "2"), ("rotation", ["0"]), ("ising", ["0", "1"])],
         ids=["register-2.9", "register-true", "rotation-1.7", "rotation-true",
-             "ising-true-0", "ising-0-1.5"],
+             "ising-true-0", "ising-0-1.5", "register-str", "rotation-str", "ising-str"],
     )
     def test_document_rejects_non_integral_index(self, field, value):
         doc = sequence_to_dict(swap_sequence(0, 1))

@@ -1,5 +1,6 @@
 """Tests for the state-vector and density-matrix kernel."""
 
+import itertools
 import json
 
 import numpy as np
@@ -22,9 +23,10 @@ from qent import (
     save_state,
     w_state,
 )
-from qent.states import state_from_dict, state_to_dict
+from qent import states
+from qent.states import _check_density_stack, state_from_dict, state_to_dict, subset_purities
 
-from conftest import brute_force_reduced, cluster_product_expansion, haar_unitary
+from conftest import brute_force_reduced, cluster_product_expansion, haar_unitary, random_density
 
 
 class TestTypes:
@@ -255,6 +257,80 @@ class TestReducedDensity:
                 reduced_density(state, bad)
 
 
+def _families(n: int, rng) -> list:
+    return [random_state(n, rng), cluster_state(n), ghz_state(n), w_state(n),
+            random_product_state(n, rng)]
+
+
+class TestSubsetPurities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_per_subset_purity(self, rng, n):
+        for state in _families(n, rng):
+            for m in range(1, n + 1):
+                subsets = list(itertools.combinations(range(n), m))
+                want = [purity(reduced_density(state, s)) for s in subsets]
+                assert np.max(np.abs(subset_purities(state, subsets) - want)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "n", [states._QUBIT_VIEW_MIN_QUBITS - 1, states._QUBIT_VIEW_MIN_QUBITS, 13]
+    )
+    def test_single_qubits_on_both_sides_of_the_view_switch(self, rng, n):
+        for state in _families(n, rng):
+            got = subset_purities(state, [[k] for k in range(n)])
+            want = [purity(reduced_density(state, [k])) for k in range(n)]
+            assert np.max(np.abs(got - want)) < 1e-14
+            assert np.max(np.abs(subset_purities(state, [[3], [0]]) - got[[3, 0]])) < 1e-14
+
+    def test_chunks_give_the_same_values(self, rng, monkeypatch):
+        state = random_state(6, rng)
+        subsets = list(itertools.combinations(range(6), 3))
+        whole = subset_purities(state, subsets)
+        monkeypatch.setattr(states, "_STACK_BYTES", 1)  # one subset per chunk
+        assert np.max(np.abs(subset_purities(state, subsets) - whole)) < 1e-15
+
+    def test_rejects_bad_subset_lists(self, rng):
+        state = random_state(3, rng)
+        for bad in ([], [[0], [0, 1]], [[3]], [[1, 1]], [[]]):
+            with pytest.raises(ValueError):
+                subset_purities(state, bad)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_checks_run_on_the_stack(self, rng, n):
+        # scaled after validation: every reduced state has trace 1.01
+        state = random_state(n, rng)
+        object.__setattr__(state, "amplitudes", state.amplitudes * np.sqrt(1.01))
+        for subsets in ([[k] for k in range(n)], [[0, 1], [1, 2]]):
+            with pytest.raises(ValueError, match="trace"):
+                subset_purities(state, subsets)
+
+
+class TestDensityStackCheck:
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "defect,message",
+        [("hermitian", "deviates from Hermitian"), ("nan", "deviates from Hermitian"),
+         ("trace", "deviates from 1"), ("negative", "has eigenvalue")],
+    )
+    def test_rejects_a_bad_matrix_at_any_position(self, rng, position, defect, message):
+        stack = np.array([random_density(4, rng).entries for _ in range(3)])
+        bad = stack[position]
+        if defect == "hermitian":
+            bad[0, 1] += 1e-3
+        elif defect == "nan":
+            bad[2, 2] = np.nan
+        elif defect == "trace":
+            bad *= 1.5
+        else:
+            bad[...] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"matrix {position} of the stack.*") as info:
+            _check_density_stack(stack)
+        assert message in str(info.value)
+
+    def test_accepts_valid_stacks(self, rng):
+        _check_density_stack(np.array([random_density(4, rng).entries for _ in range(3)]))
+        _check_density_stack(np.diag([1 + 5e-10, -5e-10])[np.newaxis])
+
+
 class TestPurityAndInner:
     def test_purity_values(self):
         assert np.isclose(purity(DensityMatrix(2, np.eye(2) / 2)), 0.5)
@@ -315,7 +391,7 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="malformed"):
             load_state(bad)
 
-    @pytest.mark.parametrize("n_qubits", [2.9, True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("n_qubits", [2.9, True, float("nan"), float("inf"), "2"])
     def test_rejects_non_integral_qubit_count(self, n_qubits):
         amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError, match="malformed"):
