@@ -34,10 +34,6 @@ MAX_QUBITS = 26
 # chunk of subset_purities holds; the 462 size-6 subsets of an n = 12 table
 # in one chunk would hold about 60 MiB of them, and as much again in Grams
 _STACK_BYTES = 1 << 22
-# from this size on, subset_purities reads single qubits from strided views
-# of the amplitudes instead of their transposed copies: about 4x faster at
-# n = 12, while below n = 10 the copies are faster, taking fewer numpy calls
-_QUBIT_VIEW_MIN_QUBITS = 11
 
 
 def _frozen_complex_array(data, shape) -> np.ndarray:
@@ -107,25 +103,23 @@ def _check_density_stack(mats: np.ndarray) -> None:
     ok = dev <= HERMITIAN_ATOL
     if not ok.all():
         i = np.argmin(ok)
-        raise ValueError(f"matrix{_position(i, k)} deviates from Hermitian by {dev[i]:.3e}")
+        raise ValueError(f"{_which(i, k)} deviates from Hermitian by {dev[i]:.3e}")
     tr = mats.trace(axis1=1, axis2=2)
     ok = np.abs(tr - 1.0) <= TRACE_ATOL
     if not ok.all():
         i = np.argmin(ok)
-        raise ValueError(
-            f"trace {tr[i]!r} of matrix{_position(i, k)} deviates from 1 beyond {TRACE_ATOL}"
-        )
+        of = "" if k == 1 else f" of {_which(i, k)}"
+        raise ValueError(f"trace {tr[i]!r}{of} deviates from 1 beyond {TRACE_ATOL}")
     lo = np.linalg.eigvalsh(mats)[:, 0]
     low = lo < EIGENVALUE_FLOOR
     if low.any():
         i = np.argmax(low)
-        raise ValueError(
-            f"matrix{_position(i, k)} has eigenvalue {lo[i]:.3e} below {EIGENVALUE_FLOOR}"
-        )
+        raise ValueError(f"{_which(i, k)} has eigenvalue {lo[i]:.3e} below {EIGENVALUE_FLOOR}")
 
 
-def _position(i: int, k: int) -> str:
-    return "" if k == 1 else f" {i} of the stack"
+def _which(i: int, k: int) -> str:
+    """The bad matrix as messages name it: its position only in a stack of several."""
+    return "matrix" if k == 1 else f"matrix {i} of the stack"
 
 
 def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
@@ -253,19 +247,11 @@ def apply_unitary(state: PureState, u: np.ndarray, targets: Sequence[int]) -> Pu
     m = len(targets)
     if u.shape[0] != 2**m:
         raise ValueError(f"unitary dim {u.shape[0]} != 2**{m} for {m} targets")
-    return PureState(state.n_qubits, _contract(u, state.tensor(), targets).reshape(-1))
-
-
-def _contract(u: np.ndarray, tensor: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Contract the 2**m x 2**m matrix ``u`` into the listed axes of ``tensor``.
-
-    Axes follow the listed target order; other axes, including any trailing
-    non-qubit axis, pass through.  No checks: callers validate.
-    """
-    m = len(targets)
-    t = np.moveaxis(tensor, targets, range(m))
+    t = state.tensor()
+    t = np.moveaxis(t, targets, range(m))
     t = np.tensordot(u.reshape([2] * (2 * m)), t, axes=(range(m, 2 * m), range(m)))
-    return np.moveaxis(t, range(m), targets)
+    t = np.moveaxis(t, range(m), targets)
+    return PureState(state.n_qubits, t.reshape(-1))
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
@@ -287,8 +273,9 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
 
     The reduced density matrices are built as one (k, d, d) stack, run through
     the checks ``DensityMatrix`` applies, and reduced to their purities.
-    Subsets are taken in chunks so that the stack's working memory stays near
-    ``_STACK_BYTES`` whatever their number.
+    Single qubits are read from strided views of the amplitudes; larger
+    subsets are taken in chunks so that the stack's working memory stays
+    near ``_STACK_BYTES`` whatever their number.
     """
     n = state.n_qubits
     subsets = [check_subset(s, n) for s in subsets]
@@ -298,7 +285,7 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
     if any(len(s) != m for s in subsets):
         sizes = sorted({len(s) for s in subsets})
         raise ValueError(f"subsets must all have one size, got sizes {sizes}")
-    if m == 1 and n >= _QUBIT_VIEW_MIN_QUBITS:
+    if m == 1:
         stacks = [_qubit_stack(state, [s[0] for s in subsets])]
     else:
         chunk = max(1, _STACK_BYTES // (2 * state.amplitudes.nbytes))

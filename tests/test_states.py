@@ -271,10 +271,8 @@ class TestSubsetPurities:
                 want = [purity(reduced_density(state, s)) for s in subsets]
                 assert np.max(np.abs(subset_purities(state, subsets) - want)) < 1e-14
 
-    @pytest.mark.parametrize(
-        "n", [states._QUBIT_VIEW_MIN_QUBITS - 1, states._QUBIT_VIEW_MIN_QUBITS, 13]
-    )
-    def test_single_qubits_on_both_sides_of_the_view_switch(self, rng, n):
+    @pytest.mark.parametrize("n", [10, 11, 13])
+    def test_single_qubits_of_larger_states(self, rng, n):
         for state in _families(n, rng):
             got = subset_purities(state, [[k] for k in range(n)])
             want = [purity(reduced_density(state, [k])) for k in range(n)]
@@ -325,6 +323,18 @@ class TestDensityStackCheck:
         with pytest.raises(ValueError, match=f"matrix {position} of the stack.*") as info:
             _check_density_stack(stack)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [([[0.5, 0.5], [0.0, 0.5]], "matrix deviates from Hermitian by 5.000e-01"),
+         (np.eye(2), f"trace {np.complex128(2)!r} deviates from 1 beyond {states.TRACE_ATOL}"),
+         (np.diag([1.5, -0.5]),
+          f"matrix has eigenvalue -5.000e-01 below {states.EIGENVALUE_FLOOR}")],
+    )
+    def test_single_matrix_message_names_no_position(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(2, np.array(entries))
+        assert str(info.value) == message
 
     def test_accepts_valid_stacks(self, rng):
         _check_density_stack(np.array([random_density(4, rng).entries for _ in range(3)]))
