@@ -106,7 +106,12 @@ def _pair_block_norm2(u, v, rows: slice, cols: slice, bufs: np.ndarray) -> float
     np.multiply(u[rows, None], v[cols], out=block)
     np.multiply(v[rows, None], u[cols], out=temp)
     block -= temp
-    return np.vdot(block, block).real
+    # numpy's own reduction, not np.vdot: OpenBLAS splits a dot over more
+    # than 10^4 entries across its threads, and on a loaded machine every such
+    # call waits for a worker thread to be scheduled (on 2 vCPUs beside one
+    # busy process, lib-session ran 23 ops/s with np.vdot and 71 with this)
+    flat = block.view(float)
+    return np.einsum("ij,ij->", flat, flat)
 
 
 def q_direct(state: PureState) -> float:
