@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import measures, protocol, pulses, states
 
@@ -40,22 +39,14 @@ def _emit(doc: dict, human_lines: list[str], as_json: bool, out: str | None):
     _write_text(json.dumps(doc, indent=2) + "\n" if as_json else "\n".join(human_lines) + "\n", out)
 
 
-def _load_state(path: str) -> states.PureState:
+def _read_state(path: str) -> states.PureState:
+    """states.load_state, exiting 2 on an unreadable or malformed file and 1 on an invalid state."""
     try:
-        text = Path(path).read_text()
+        return states.load_state(path)
     except OSError as exc:
         _fail(2, f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail(2, f"malformed state file {path}: {exc}")
-    try:
-        n = states._qubit_count(doc["n_qubits"])
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(2, f"malformed state file {path}: {exc}")
-    try:
-        return states.PureState(n, amps)
+    except states.MalformedInput as exc:
+        _fail(2, str(exc))
     except ValueError as exc:
         _fail(1, f"invalid state in {path}: {exc}")
 
@@ -95,7 +86,7 @@ def gen(kind: str, n: int, seed: int | None, out: str | None):
             state = states.random_state(n, seed)
     except ValueError as exc:
         _fail(1, str(exc))
-    _write_text(json.dumps(states.state_to_dict(state)) + "\n", out)
+    _write_text(states.encode_state(state).decode(), out)
 
 
 @main.command()
@@ -110,7 +101,7 @@ def gen(kind: str, n: int, seed: int | None, out: str | None):
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def q(statefile: str, route: str, as_json: bool, out: str | None):
     """Compute Q for a state file by one or all routes."""
-    state = _load_state(statefile)
+    state = _read_state(statefile)
     fns = {
         "direct": measures.q_direct,
         "purity": measures.q_purity,
@@ -219,7 +210,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     """Sample the measurement protocol, or run subset-purity / convergence runs."""
-    state = _load_state(statefile)
+    state = _read_state(statefile)
     if subset is not None:
         indices = _parse_ints(subset, "--subset")
         try:

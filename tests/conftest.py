@@ -105,3 +105,16 @@ def bell_pair() -> PureState:
 def bell_bell() -> PureState:
     b = bell_pair().amplitudes
     return PureState(4, np.kron(b, b))
+
+
+# file bodies that are not state files, each for a different reason
+MALFORMED_FILES = {
+    "not-json": b"{oops",
+    "missing-key": b'{"n_qubits": 1}',
+    "string-amplitude": b'{"n_qubits": 1, "amplitudes": [["1", 0], [0, 0]]}',
+    "null-amplitude": b'{"n_qubits": 1, "amplitudes": [[null, 0], [0, 0]]}',
+    "short-pair": b'{"n_qubits": 1, "amplitudes": [[1], [0, 0]]}',
+    "long-pair": b'{"n_qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]}',
+    "not-utf-8": b'{"n_qubits": 1, "note": "\xe9", "amplitudes": [[1, 0], [0, 0]]}',
+    "byte-order-mark": b'\xef\xbb\xbf{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}',
+}

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,9 @@ from click.testing import CliRunner
 
 from qent import ghz_state, measures, protocol
 from qent.cli import main
-from qent.states import save_state
+from qent.states import encode_state, random_state, save_state
 
-from conftest import bell_bell
+from conftest import MALFORMED_FILES, bell_bell
 
 
 @pytest.fixture
@@ -44,6 +47,14 @@ class TestGen:
         assert invoke(runner, "gen", "random", "--n", 5, "--seed", 7, "--out", a).exit_code == 0
         assert invoke(runner, "gen", "random", "--n", 5, "--seed", 7, "--out", b).exit_code == 0
         assert a.read_text() == b.read_text()
+
+    def test_out_bytes_equal_save_state_bytes(self, runner, tmp_path):
+        out, saved = tmp_path / "gen.json", tmp_path / "saved.json"
+        assert invoke(runner, "gen", "random", "--n", 6, "--seed", 7, "--out", out).exit_code == 0
+        save_state(random_state(6, 7), saved)
+        assert out.read_bytes() == saved.read_bytes()
+        stdout = invoke(runner, "gen", "random", "--n", 6, "--seed", 7).stdout_bytes
+        assert stdout == encode_state(random_state(6, 7))
 
     def test_product_seed_gives_random_factors(self, runner):
         r1 = invoke(runner, "gen", "product", "--n", 3, "--seed", 5)
@@ -120,6 +131,49 @@ class TestQ:
         structural = tmp_path / "structural.json"
         structural.write_text(json.dumps({"n_qubits": 2}))
         assert invoke(runner, "q", structural).exit_code == 2
+
+    @pytest.mark.parametrize("body", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_malformed_file_names_path_and_exits_2(self, runner, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 2
+        assert f"error: malformed state file {path}: " in result.output
+
+    def test_missing_file_names_path_and_exits_2(self, runner, tmp_path):
+        path = tmp_path / "missing.json"
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 2
+        assert f"error: cannot read {path}: " in result.output
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity"])
+    def test_infinite_amplitude_exits_1(self, runner, tmp_path, token):
+        path = tmp_path / "inf.json"
+        path.write_text(f'{{"n_qubits": 2, "amplitudes": [[{token}, 0], [0, 0], [0, 0], [0, 0]]}}')
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 1
+        assert f"error: invalid state in {path}: state squared norm" in result.output
+
+    def test_deeply_nested_file_exits_2(self, tmp_path):
+        # in a subprocess: a parser that recursed this deep on the C stack
+        # would crash the process instead of failing; the last two hide their
+        # nesting from a depth count that also counts the brackets in strings
+        depth = 300_000
+        bodies = [
+            b"[" * depth + b"]" * depth,
+            b'["]",' * depth + b"1" + b"]" * depth,
+            b'{"pad":"' + b"]" * depth + b'","x":' + b"[" * depth + b"]" * depth + b"}",
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        for i, body in enumerate(bodies):
+            path = tmp_path / f"deep{i}.json"
+            path.write_bytes(body)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qent.cli", "q", str(path)],
+                env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 2, (i, proc.returncode, proc.stderr)
+            assert f"error: malformed state file {path}: " in proc.stderr
 
     def test_unnormalized_state_exits_1(self, runner, tmp_path):
         bad = tmp_path / "unnorm.json"

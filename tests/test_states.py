@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,23 @@ from qent import (
     w_state,
 )
 from qent import states
-from qent.states import _check_density_stack, state_from_dict, state_to_dict, subset_purities
+from qent.states import (
+    MalformedInput,
+    _check_density_stack,
+    _norm2,
+    encode_state,
+    state_from_dict,
+    state_to_dict,
+    subset_purities,
+)
 
-from conftest import brute_force_reduced, cluster_product_expansion, haar_unitary, random_density
+from conftest import (
+    MALFORMED_FILES,
+    brute_force_reduced,
+    cluster_product_expansion,
+    haar_unitary,
+    random_density,
+)
 
 
 class TestTypes:
@@ -41,6 +56,14 @@ class TestTypes:
     def test_pure_state_rejects_nan(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_norm2_matches_vdot(self, n):
+        amps = random_state(n, n).amplitudes * 1.5
+        want = np.vdot(amps, amps).real
+        # the two sums round their 2**(n + 1) additions in different orders;
+        # they differed by under 20 eps over 800 seeded states with n <= 16
+        assert abs(_norm2(amps) - want) <= 64 * np.finfo(float).eps * want
 
     def test_pure_state_rejects_oversized_n_before_allocating(self, no_state_numpy):
         # 2**100_000 alone is a 30,000-digit integer
@@ -97,6 +120,13 @@ class TestFactories:
             product_state([(1, 1)])
         with pytest.raises(ValueError, match="length"):
             product_state([(1, 0, 0)])
+
+    def test_product_rejects_unnormalized_product_of_normalized_factors(self):
+        # each factor's squared norm 1 + 0.9e-10 is within NORM_ATOL, their product is not
+        f = np.sqrt(1 + 0.9e-10) * np.array([1.0, 0.0])
+        assert abs(product_state([f]).amplitudes[0]) > 1.0
+        with pytest.raises(ValueError, match=r"the factor squared norms \[1\.00000000009"):
+            product_state([f, f])
 
     def test_ghz_amplitudes(self):
         assert np.allclose(ghz_state(2).amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
@@ -366,13 +396,40 @@ class TestPurityAndInner:
 
 
 class TestStateFiles:
-    def test_round_trip_is_bit_identical(self, tmp_path, rng):
-        state = random_state(4, rng)
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_round_trip_is_bit_identical(self, tmp_path, n):
+        amps = random_state(n, n).amplitudes.copy()
+        amps[0] = 0.0
+        amps /= np.sqrt(np.vdot(amps, amps).real)
+        # a signed zero and the smallest subnormal, set after the division
+        amps[0] = complex(-0.0, 5e-324)
+        state = PureState(n, amps)
         path = tmp_path / "state.json"
         save_state(state, path)
         loaded = load_state(path)
-        assert loaded.n_qubits == state.n_qubits
-        assert np.array_equal(loaded.amplitudes, state.amplitudes)
+        assert loaded.n_qubits == n
+        assert np.array_equal(loaded.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64))
+
+    def test_file_is_compact_with_shortest_floats(self, tmp_path):
+        amps = np.zeros(4, dtype=complex)
+        amps[0], amps[3] = 1e-05, np.sqrt(1 - 1e-10)
+        data = encode_state(PureState(2, amps))
+        assert data == (
+            b'{"n_qubits":2,"amplitudes":[[0.00001,0.0],[0.0,0.0],[0.0,0.0],[0.99999999995,0.0]]}\n'
+        )
+        save_state(PureState(2, amps), tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == data
+
+    def test_reads_json_dumps_form(self, tmp_path):
+        amps = random_state(4, 5).amplitudes.copy()
+        amps[0] = 0.0
+        amps *= np.sqrt(1 - 2e-10) / np.sqrt(np.vdot(amps, amps).real)
+        amps[0] = complex(1e-05, -1e-05)
+        state = PureState(4, amps)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(state_to_dict(state)) + "\n")
+        assert "[1e-05, -1e-05], [" in path.read_text()
+        assert np.array_equal(load_state(path).amplitudes.view(np.uint64), amps.view(np.uint64))
 
     def test_dict_round_trip(self):
         state = w_state(3)
@@ -392,14 +449,33 @@ class TestStateFiles:
         assert "[-0.0, -0.0], [0.0, -0.0]" in text
 
     def test_rejects_malformed_documents(self, tmp_path):
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(MalformedInput, match="malformed"):
             state_from_dict({"n_qubits": 2})
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(MalformedInput, match="malformed"):
             state_from_dict({"n_qubits": 2, "amplitudes": "nope"})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(MalformedInput, match="malformed"):
             load_state(bad)
+
+    @pytest.mark.parametrize("body", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_load_raises_malformed_input_naming_the_path(self, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        with pytest.raises(MalformedInput, match=re.escape(f"malformed state file {path}: ")):
+            load_state(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitude_is_an_invalid_state(self, tmp_path, token):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(f'{{"n_qubits": 1, "amplitudes": [[{token}, 0], [0, 0]]}}')
+        with pytest.raises(ValueError, match="norm") as info:
+            load_state(path)
+        assert not isinstance(info.value, MalformedInput)
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_state(tmp_path / "missing.json")
 
     @pytest.mark.parametrize("n_qubits", [2.9, True, float("nan"), float("inf"), "2"])
     def test_rejects_non_integral_qubit_count(self, n_qubits):
