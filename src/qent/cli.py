@@ -4,10 +4,15 @@ verification, and protocol simulation.
 Exit codes: 0 success, 1 validation or verification failure, 2 I/O error or
 malformed input.  Reports are JSON by default; pass --human for a readable
 rendering.
+
+``run`` is the process entry point (``qent`` and ``python -m qent.cli``): it
+runs ``main`` with the cyclic garbage collector off, see its docstring.
+In-process callers call ``main`` and keep their collector.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -39,16 +44,16 @@ def _emit(doc: dict, human_lines: list[str], as_json: bool, out: str | None):
     _write_text(json.dumps(doc, indent=2) + "\n" if as_json else "\n".join(human_lines) + "\n", out)
 
 
-def _read_state(path: str) -> states.PureState:
-    """states.load_state, exiting 2 on an unreadable or malformed file and 1 on an invalid state."""
+def _read(load, path: str, what: str):
+    """load(path), exiting 2 on an unreadable or malformed file and 1 on an invalid ``what``."""
     try:
-        return states.load_state(path)
+        return load(path)
     except OSError as exc:
         _fail(2, f"cannot read {path}: {exc}")
     except states.MalformedInput as exc:
         _fail(2, str(exc))
     except ValueError as exc:
-        _fail(1, f"invalid state in {path}: {exc}")
+        _fail(1, f"invalid {what} in {path}: {exc}")
 
 
 def _parse_ints(text: str, option: str) -> list[int]:
@@ -101,7 +106,7 @@ def gen(kind: str, n: int, seed: int | None, out: str | None):
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def q(statefile: str, route: str, as_json: bool, out: str | None):
     """Compute Q for a state file by one or all routes."""
-    state = _read_state(statefile)
+    state = _read(states.load_state, statefile, "state")
     fns = {
         "direct": measures.q_direct,
         "purity": measures.q_purity,
@@ -154,12 +159,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
     except ValueError as exc:
         _fail(1, str(exc))
     if sequence_file is not None:
-        try:
-            seq = pulses.load_sequence(sequence_file)
-        except OSError as exc:
-            _fail(2, f"cannot read {sequence_file}: {exc}")
-        except ValueError as exc:
-            _fail(2, str(exc))
+        seq = _read(pulses.load_sequence, sequence_file, "sequence")
         if seq.register_size != int(math.log2(canonical.shape[0])):
             _fail(1, f"sequence register size {seq.register_size} does not match target")
     try:
@@ -210,7 +210,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     """Sample the measurement protocol, or run subset-purity / convergence runs."""
-    state = _read_state(statefile)
+    state = _read(states.load_state, statefile, "state")
     if subset is not None:
         indices = _parse_ints(subset, "--subset")
         try:
@@ -255,5 +255,21 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     _emit(doc, lines, as_json, out)
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry point: ``main`` on a frozen heap with the cyclic collector off.
+
+    ``gc.freeze`` moves every object alive after start-up (numpy's, click's
+    and qent's, over 20,000 of them) out of all later collections, the one
+    at interpreter shutdown included, and ``gc.disable`` stops the
+    collections that allocating a state file's parsed lists would trigger.
+    One command frees its objects by reference counting, so the process
+    peaks no higher without the collector, and each command took 17-50 ms
+    less on a 2-vCPU host (``BENCH_cli.json``).
+    """
+    gc.freeze()
+    gc.disable()
     main()
+
+
+if __name__ == "__main__":
+    run()

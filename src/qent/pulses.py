@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .states import _qubit_count
+from .states import MalformedInput, _qubit_count
 
 AXES = ("x", "y", "z")
 _PAULI = {
@@ -357,21 +357,31 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 
 
 def sequence_from_dict(doc: dict) -> PulseSequence:
+    """The pulse sequence a parsed sequence document describes.
+
+    Raises ``states.MalformedInput`` on a document of another shape (a
+    missing key, an unknown pulse kind, a wrong number of targets, an index
+    that is not an integer, an angle that ``float`` rejects) and a plain
+    ValueError on a sequence that fails validation, such as a target outside
+    the register.
+    """
     try:
-        pulses: list[Pulse] = []
+        fields = []
         for entry in doc["pulses"]:
             if entry["kind"] not in ("rotation", "ising"):
                 raise ValueError(f"unknown pulse kind {entry['kind']!r}")
             targets = [_qubit_count(t, "targets") for t in entry["targets"]]
+            angle = float(entry["angle"])
             if entry["kind"] == "rotation":
                 (target,) = targets
-                pulses.append(Rotation(entry["axis"], float(entry["angle"]), target))
+                fields.append((Rotation, (entry["axis"], angle, target)))
             else:
                 a, b = targets
-                pulses.append(IsingCoupling(float(entry["angle"]), (a, b)))
-        return PulseSequence(tuple(pulses), doc["register_size"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sequence document: {exc}") from exc
+                fields.append((IsingCoupling, (angle, (a, b))))
+        size = _qubit_count(doc["register_size"], "register_size")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"malformed sequence document: {exc}") from exc
+    return PulseSequence(tuple(pulse(*args) for pulse, args in fields), size)
 
 
 def save_sequence(seq: PulseSequence, path: str | Path) -> None:
@@ -379,8 +389,14 @@ def save_sequence(seq: PulseSequence, path: str | Path) -> None:
 
 
 def load_sequence(path: str | Path) -> PulseSequence:
+    """Read a sequence file.
+
+    Raises OSError if the file cannot be read, ``states.MalformedInput`` if it
+    does not parse as the sequence format, and ValueError if the sequence it
+    holds is invalid.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed sequence file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"malformed sequence file {path}: {exc}") from exc
     return sequence_from_dict(doc)

@@ -413,9 +413,10 @@ def _qubit_count(value, field: str = "n_qubits") -> int:
 def _fields(doc) -> tuple[int, np.ndarray]:
     """The qubit count and amplitude vector of a parsed state document.
 
-    Raises KeyError, TypeError or ValueError on a document of another shape.
-    ``complex(re, im)`` rejects string and null amplitudes, which
-    ``np.array(pairs, dtype=float)`` would convert to numbers and NaN.
+    Raises KeyError, TypeError, ValueError or OverflowError on a document of
+    another shape.  ``complex(re, im)`` rejects string and null amplitudes,
+    which ``np.array(pairs, dtype=float)`` would convert to numbers and NaN,
+    and integers too large for a float.
     """
     n = _qubit_count(doc["n_qubits"])
     amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
@@ -425,7 +426,7 @@ def _fields(doc) -> tuple[int, np.ndarray]:
 def state_from_dict(doc: dict) -> PureState:
     try:
         n, amps = _fields(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"malformed state document: {exc}") from exc
     return PureState(n, amps)
 
@@ -478,6 +479,6 @@ def load_state(path: str | Path) -> PureState:
     """
     try:
         n, amps = _fields(_parse_json(Path(path).read_bytes()))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MalformedInput(f"malformed state file {path}: {exc}") from exc
     return PureState(n, amps)

@@ -117,4 +117,6 @@ MALFORMED_FILES = {
     "long-pair": b'{"n_qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]}',
     "not-utf-8": b'{"n_qubits": 1, "note": "\xe9", "amplitudes": [[1, 0], [0, 0]]}',
     "byte-order-mark": b'\xef\xbb\xbf{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}',
+    # an integer literal too large for a float
+    "huge-integer": b'{"n_qubits": 1, "amplitudes": [[1' + b"0" * 400 + b', 0], [0, 0]]}',
 }

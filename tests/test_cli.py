@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from qent import ghz_state, measures, protocol
-from qent.cli import main
+from qent.cli import main, run
 from qent.states import encode_state, random_state, save_state
 
 from conftest import MALFORMED_FILES, bell_bell
@@ -175,6 +176,20 @@ class TestQ:
             assert proc.returncode == 2, (i, proc.returncode, proc.stderr)
             assert f"error: malformed state file {path}: " in proc.stderr
 
+    def test_malformed_file_exits_2_in_a_process(self, tmp_path):
+        # the process entry point, run(), maps the error the same way main() does
+        path = tmp_path / "huge.json"
+        path.write_bytes(MALFORMED_FILES["huge-integer"])
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qent.cli", "q", str(path)],
+            env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: malformed state file {path}: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_unnormalized_state_exits_1(self, runner, tmp_path):
         bad = tmp_path / "unnorm.json"
         bad.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1, 0], [1, 0]]}))
@@ -321,6 +336,35 @@ class TestVerify:
         assert "must be an integer" in result.output
 
 
+    @pytest.mark.parametrize("edit", ["huge-angle", "not-json", "deep-nesting"])
+    def test_malformed_sequence_exits_2(self, runner, tmp_path, edit):
+        seq_file = tmp_path / "swap.json"
+        invoke(runner, "verify", "swap", "--out", seq_file)
+        if edit == "huge-angle":
+            # an integer literal too large for a float
+            doc = json.loads(seq_file.read_text())
+            doc["pulses"][0]["angle"] = 10**400
+            seq_file.write_text(json.dumps(doc))
+        elif edit == "not-json":
+            seq_file.write_text("{oops")
+        else:
+            seq_file.write_text("[" * 100_000 + "]" * 100_000)
+        result = invoke(runner, "verify", "swap", "--sequence", seq_file)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: malformed sequence")
+        assert result.output.count("\n") == 1
+
+    def test_invalid_sequence_exits_1(self, runner, tmp_path):
+        seq_file = tmp_path / "swap.json"
+        invoke(runner, "verify", "swap", "--out", seq_file)
+        doc = json.loads(seq_file.read_text())
+        doc["pulses"][0]["targets"] = [0, 2]
+        seq_file.write_text(json.dumps(doc))
+        result = invoke(runner, "verify", "swap", "--sequence", seq_file)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: invalid sequence in {seq_file}: pulse targets")
+
+
 class TestProtocol:
     def test_ghz3_sampled_estimate(self, runner, tmp_path):
         path = tmp_path / "ghz3.json"
@@ -425,3 +469,27 @@ class TestProtocol:
         r1 = invoke(runner, "protocol", path, "--trials", 5000, "--seed", 9)
         r2 = invoke(runner, "protocol", path, "--trials", 5000, "--seed", 9)
         assert r1.output == r2.output
+
+
+class TestEntryPoint:
+    def test_run_freezes_the_heap_then_disables_the_collector(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(sys, "argv", ["qent", "--help"])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 0
+        assert calls == ["freeze", "disable"]
+
+    def test_main_keeps_the_collector_of_an_in_process_caller(self, runner):
+        assert gc.isenabled()
+        assert invoke(runner, "verify", "swap").exit_code == 0
+        assert gc.isenabled()
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts["qent"] == "qent.cli:run"

@@ -28,6 +28,7 @@ from qent.pulses import (
     three_body_sequence,
     zzz_unitary,
 )
+from qent.states import MalformedInput
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -362,5 +363,30 @@ class TestSequenceFiles:
             sequence_from_dict({"register_size": 2})
         bad = tmp_path / "bad.json"
         bad.write_text("[")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(MalformedInput, match=f"malformed sequence file {bad}"):
             load_sequence(bad)
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [{"kind": "mystery", "angle": 0.1, "targets": [0]},
+         {"kind": "rotation", "angle": 0.1, "targets": [0]},
+         {"kind": "rotation", "axis": "x", "angle": 0.1, "targets": [0, 1]},
+         {"kind": "ising", "angle": "pi", "targets": [0, 1]},
+         {"kind": "ising", "angle": 10**400, "targets": [0, 1]}],
+        ids=["unknown-kind", "no-axis", "two-targets", "string-angle", "huge-angle"],
+    )
+    def test_malformed_document_raises_malformed_input(self, pulse):
+        with pytest.raises(MalformedInput, match="malformed sequence document"):
+            sequence_from_dict({"register_size": 2, "pulses": [pulse]})
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [{"kind": "rotation", "axis": "w", "angle": 0.1, "targets": [0]},
+         {"kind": "ising", "angle": 0.1, "targets": [0, 2]},
+         {"kind": "ising", "angle": 0.1, "targets": [1, 1]}],
+        ids=["unknown-axis", "target-outside-register", "repeated-target"],
+    )
+    def test_invalid_sequence_is_not_malformed(self, pulse):
+        with pytest.raises(ValueError) as info:
+            sequence_from_dict({"register_size": 2, "pulses": [pulse]})
+        assert not isinstance(info.value, MalformedInput)

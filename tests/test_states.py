@@ -453,6 +453,8 @@ class TestStateFiles:
             state_from_dict({"n_qubits": 2})
         with pytest.raises(MalformedInput, match="malformed"):
             state_from_dict({"n_qubits": 2, "amplitudes": "nope"})
+        with pytest.raises(MalformedInput, match="too large"):
+            state_from_dict({"n_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(MalformedInput, match="malformed"):
