@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -48,7 +47,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+import sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -275,12 +274,9 @@ def main() -> None:
         out_rows.append(entry)
 
     doc = {
-        "command": "PYTHONPATH=src python3 scripts/bench_cli.py"
-                   + (" --parent <parent checkout>" if args.parent is not None else "")
-                   + f" --reps {args.reps} --seed {args.seed}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+        **sweep.provenance("PYTHONPATH=src python3 scripts/bench_cli.py"
+                           + (" --parent <parent checkout>" if args.parent is not None else "")
+                           + f" --reps {args.reps} --seed {args.seed}"),
         "revisions": {side: _revision(root) for side, root in roots.items()},
         "reps": args.reps,
         "launcher_peak_rss_mib": launcher.peak_kib / 1024,

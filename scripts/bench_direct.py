@@ -17,16 +17,8 @@ can be measured under the same command.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import time
-import tracemalloc
-from pathlib import Path
 
-import numpy as np
-
+import sweep
 from qent import measures, q_direct, random_state, split_on_qubit, wedge_distance
 
 SEED = 20240817
@@ -35,27 +27,12 @@ REPEATS = 15  # timed calls per point
 BUDGET_SWEEP = (1 << 18, 1 << 19, 3 << 18, 1 << 20)  # bytes per row block
 
 
-def _timing(fn) -> dict:
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return {"calls": REPEATS, "median_s": statistics.median(times), "min_s": min(times)}
-
-
 def _kernel_row(n: int) -> dict:
     split = split_on_qubit(random_state(n, SEED), 0)
     u, v = split.u_tilde, split.v_tilde
     wedge_distance(u, v)  # warm-up
-    row = {"n": n, "vector_length": u.size, **_timing(lambda: wedge_distance(u, v))}
-    tracemalloc.start()
-    try:
-        wedge_distance(u, v)
-        row["tracemalloc_peak_bytes"] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return row
+    return {"n": n, "vector_length": u.size,
+            **sweep.timed(lambda: wedge_distance(u, v), REPEATS, peak="bytes")}
 
 
 def _budget_sweep() -> list[dict]:
@@ -83,20 +60,11 @@ def main() -> None:
     budgets = _budget_sweep()
     state = random_state(Q_DIRECT_N, SEED)
     q_direct(state)  # warm-up
-    section = {
-        "command": f"PYTHONPATH=src python3 scripts/bench_direct.py "
-        f"--label {args.label} --max-n {args.max_n}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "wedge_distance": kernel,
-        "block_budget_sweep": budgets,
-        "q_direct": {"n": Q_DIRECT_N, **_timing(lambda: q_direct(state))},
-    }
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc[args.label] = section
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    q_row = {"n": Q_DIRECT_N, **sweep.timed(lambda: q_direct(state), REPEATS)}
+    sweep.write_section(
+        args.out, args.label,
+        f"PYTHONPATH=src python3 scripts/bench_direct.py --label {args.label} --max-n {args.max_n}",
+        wedge_distance=kernel, block_budget_sweep=budgets, q_direct=q_row)
 
     for row in kernel:
         print(f"n={row['n']:2d}  median {row['median_s'] * 1e3:9.2f} ms  "
@@ -104,7 +72,7 @@ def main() -> None:
     for row in budgets:
         print(f"n={Q_DIRECT_N} budget {row['budget_bytes'] >> 10:5d} KiB  "
               f"median {row['median_s'] * 1e3:9.2f} ms")
-    print(f"q_direct n={Q_DIRECT_N}  median {section['q_direct']['median_s'] * 1e3:.2f} ms")
+    print(f"q_direct n={Q_DIRECT_N}  median {q_row['median_s'] * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

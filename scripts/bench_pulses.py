@@ -20,15 +20,11 @@ sections.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import time
 from pathlib import Path
 
 import numpy as np
 
+import sweep
 from qent import (
     PulseSequence,
     canonical_cswap,
@@ -47,20 +43,11 @@ def _repeats(r: int) -> int:
 def _row(r: int, reference) -> tuple[dict, np.ndarray]:
     c, t, s = 0, r // 2, r - 1
     seq = PulseSequence(cswap_sequence(c, t, s).pulses, r)
-    times = []
-    for _ in range(_repeats(r)):
-        start = time.perf_counter()
-        u = sequence_unitary(seq)
-        times.append(time.perf_counter() - start)
-    row = {
-        "r": r,
-        "targets": [c, t, s],
-        "pulses": len(seq.pulses),
-        "calls": len(times),
-        "median_s": statistics.median(times),
-        "min_s": min(times),
-        "deviation_from_canonical": phase_aligned_deviation(canonical_cswap(c, t, s, r), u),
-    }
+    last = {}  # the unitary of the last timed call
+    row = {"r": r, "targets": [c, t, s], "pulses": len(seq.pulses),
+           **sweep.timed(lambda: last.update(u=sequence_unitary(seq)), _repeats(r))}
+    u = last["u"]
+    row["deviation_from_canonical"] = phase_aligned_deviation(canonical_cswap(c, t, s, r), u)
     if reference is not None:
         row["max_abs_diff_vs_reference"] = float(np.max(np.abs(u - reference[f"r{r}"])))
     return row, u
@@ -90,17 +77,7 @@ def main() -> None:
     command += f" --max-r {args.max_r}"
     if args.reference:
         command += f" --reference {Path(args.reference).name}"
-    section = {
-        "command": command,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "sequence_unitary": rows,
-    }
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc[args.label] = section
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    sweep.write_section(args.out, args.label, command, sequence_unitary=rows)
 
 
 if __name__ == "__main__":

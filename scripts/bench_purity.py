@@ -21,16 +21,11 @@ merged into --out, keeping the other sections.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+import sweep
 from qent import ProtocolRun, minus_probabilities, q_purity, random_state, tally_outcomes
 from qent.protocol import MODE_FULL_JOINT
 
@@ -43,25 +38,12 @@ def _repeats(n: int) -> int:
     return 21 if n <= 12 else (7 if n <= 16 else 3)
 
 
-def _timed(fn, repeats: int) -> dict:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    fn()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return {"calls": repeats, "median_s": statistics.median(times), "min_s": min(times),
-            "tracemalloc_peak_mib": peak / 2**20}
-
-
 def _purity_row(n: int, reference) -> tuple[dict, np.ndarray]:
     state = random_state(n, n)
     row = {"n": n,
-           "q_purity": _timed(lambda: q_purity(state), _repeats(n)),
-           "minus_probabilities": _timed(lambda: minus_probabilities(state), _repeats(n))}
+           "q_purity": sweep.timed(lambda: q_purity(state), _repeats(n), peak="mib"),
+           "minus_probabilities": sweep.timed(lambda: minus_probabilities(state), _repeats(n),
+                                              peak="mib")}
     p_minus = minus_probabilities(state)
     if reference is not None:
         row["max_abs_diff_vs_reference"] = float(np.max(np.abs(p_minus - reference[f"n{n}"])))
@@ -74,7 +56,8 @@ def _joint_row(n: int) -> dict:
         run = ProtocolRun(state, JOINT_TRIALS, 0, MODE_FULL_JOINT)
     except ValueError as exc:
         return {"n": n, "error": str(exc)}
-    return {"n": n, "tally_outcomes": _timed(lambda: tally_outcomes(run), 11 if n <= 8 else 3)}
+    return {"n": n, "tally_outcomes": sweep.timed(lambda: tally_outcomes(run), 11 if n <= 8 else 3,
+                                                  peak="mib")}
 
 
 def main() -> None:
@@ -113,18 +96,7 @@ def main() -> None:
     command += f" --max-n {args.max_n} --max-joint-n {args.max_joint_n}"
     if args.reference:
         command += f" --reference {Path(args.reference).name}"
-    section = {
-        "command": command,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "purity": purity_rows,
-        "full_joint": joint_rows,
-    }
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc[args.label] = section
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    sweep.write_section(args.out, args.label, command, purity=purity_rows, full_joint=joint_rows)
 
 
 if __name__ == "__main__":

@@ -19,19 +19,15 @@ sections, so two checkouts can be measured under the same command.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+import sweep
 from qent import load_state, random_state, save_state
 
 SEED = 20240817
@@ -42,31 +38,11 @@ def _repeats(n: int) -> int:
     return 9 if n <= 14 else (5 if n <= 16 else 3)
 
 
-def _timed(fn, repeats: int) -> dict:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return {"calls": repeats, "median_s": statistics.median(times), "min_s": min(times)}
-
-
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _in_process_row(n: int, path: Path) -> dict:
     state = random_state(n, SEED)
     repeats = _repeats(n)
-    save = _timed(lambda: save_state(state, path), repeats)
-    save["tracemalloc_peak_bytes"] = _peak_bytes(lambda: save_state(state, path))
-    load = _timed(lambda: load_state(path), repeats)
-    load["tracemalloc_peak_bytes"] = _peak_bytes(lambda: load_state(path))
+    save = sweep.timed(lambda: save_state(state, path), repeats, peak="bytes")
+    load = sweep.timed(lambda: load_state(path), repeats, peak="bytes")
     if not np.array_equal(load_state(path).amplitudes, state.amplitudes):
         raise RuntimeError(f"n = {n}: the state file does not read back to the state written")
     return {"n": n, "file_bytes": path.stat().st_size, "save_state": save, "load_state": load}
@@ -80,9 +56,9 @@ def _cli_row(n: int, work: Path, env: dict) -> dict:
                        check=True, stdout=subprocess.DEVNULL)
 
     repeats = _repeats(n)
-    gen = _timed(lambda: run("gen", "random", "--n", str(n), "--seed", str(SEED),
+    gen = sweep.timed(lambda: run("gen", "random", "--n", str(n), "--seed", str(SEED),
                              "--out", str(path)), repeats)
-    q = _timed(lambda: run("q", str(path), "--route", "purity"), repeats)
+    q = sweep.timed(lambda: run("q", str(path), "--route", "purity"), repeats)
     return {"n": n, "gen_random": gen, "q_purity": q}
 
 
@@ -97,18 +73,9 @@ def main() -> None:
         work = Path(tmp)
         in_process = [_in_process_row(n, work / f"s{n}.json") for n in N_VALUES]
         cli = [_cli_row(n, work, env) for n in N_VALUES]
-    section = {
-        "command": f"PYTHONPATH=src python3 scripts/bench_stateio.py --label {args.label}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "in_process": in_process,
-        "cli": cli,
-    }
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc[args.label] = section
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    sweep.write_section(args.out, args.label,
+                        f"PYTHONPATH=src python3 scripts/bench_stateio.py --label {args.label}",
+                        in_process=in_process, cli=cli)
 
     for row, cli_row in zip(in_process, cli):
         print(f"n={row['n']:2d}  {row['file_bytes'] / 2**20:7.2f} MiB  "

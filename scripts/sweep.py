@@ -1,0 +1,64 @@
+"""Harness shared by the scripts/bench_*.py sweeps: timed calls, provenance, BENCH files.
+
+Each sweep times its kernels with ``timed``, labels the host and the
+command with ``provenance``, and merges its labelled section into its
+``BENCH_<topic>.json`` with ``write_section``, so two checkouts measured
+under the same command land side by side in one file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+
+def timed(fn, repeats: int, peak: str | None = None) -> dict:
+    """Call count, median and minimum wall time of ``repeats`` calls of ``fn``.
+
+    With ``peak`` set to "bytes" or "mib", one more call runs under
+    tracemalloc and its peak is added as ``tracemalloc_peak_<peak>``;
+    tracemalloc sees only what goes through Python's allocator.
+    """
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    row = {"calls": repeats, "median_s": statistics.median(times), "min_s": min(times)}
+    if peak is not None:
+        tracemalloc.start()
+        try:
+            fn()
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row[f"tracemalloc_peak_{peak}"] = peak_bytes if peak == "bytes" else peak_bytes / 2**20
+    return row
+
+
+def provenance(command: str) -> dict:
+    """The command that produced a result, with the interpreter, numpy and host it ran on."""
+    return {
+        "command": command,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+    }
+
+
+def write_section(path: str | Path, label: str, command: str, **fields) -> None:
+    """Store ``fields`` under ``label`` in the JSON file at ``path``, after the provenance.
+
+    The file's other sections are kept.
+    """
+    path = Path(path)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[label] = {**provenance(command), **fields}
+    path.write_text(json.dumps(doc, indent=2) + "\n")

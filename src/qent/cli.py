@@ -30,14 +30,19 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _save(save, obj, out: str):
+    """save(obj, out), exiting 2 if ``out`` cannot be written."""
+    try:
+        save(obj, out)
+    except OSError as exc:
+        _fail(2, f"cannot write {out}: {exc}")
+
+
 def _write_text(text: str, out: str | None):
     if out is None:
         click.echo(text, nl=not text.endswith("\n"))
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        _fail(2, f"cannot write {out}: {exc}")
+    else:
+        _save(lambda data, path: Path(path).write_text(data), text, out)
 
 
 def _emit(doc: dict, human_lines: list[str], as_json: bool, out: str | None):
@@ -91,7 +96,10 @@ def gen(kind: str, n: int, seed: int | None, out: str | None):
             state = states.random_state(n, seed)
     except ValueError as exc:
         _fail(1, str(exc))
-    _write_text(states.encode_state(state).decode(), out)
+    if out is None:
+        click.echo(states.encode_state(state), nl=False)
+    else:
+        _save(states.save_state, state, out)
 
 
 @main.command()
@@ -185,10 +193,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
         f"{'sign-tunable' if sign_tunable else 'fixed sign'})",
     ]
     if out is not None:
-        try:
-            pulses.save_sequence(seq, out)
-        except OSError as exc:
-            _fail(2, f"cannot write {out}: {exc}")
+        _save(pulses.save_sequence, seq, out)
     _emit(doc, lines, as_json, None)
     if not ok:
         sys.exit(1)
@@ -214,7 +219,7 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     if subset is not None:
         indices = _parse_ints(subset, "--subset")
         try:
-            direct = protocol.subset_purity_direct(state, indices)
+            direct = protocol.subset_purity_exact(state, indices)
             feasible = len(indices) + 2 * state.n_qubits <= protocol.FULL_JOINT_MAX_QUBITS
             circuit = protocol.subset_purity_circuit(state, indices) if feasible else None
         except ValueError as exc:

@@ -371,8 +371,6 @@ def subset_purity_exact(state: PureState, subset) -> float:
     return float(subset_purities(state, [subset])[0])
 
 
-subset_purity_direct = subset_purity_exact
-
 
 def subset_purity_circuit(state: PureState, subset) -> float:
     """Tr[rho_subset^2] from the full entangled-control circuit.

@@ -11,7 +11,9 @@ Sign conventions (fixed package-wide, no hidden normalization):
 Under these conventions the three sequences built here reproduce their
 canonical gates exactly up to a global phase (the SWAP construction carries
 e^{i pi/4}, the c-SWAP carries e^{-i pi/8}; the three-body construction is
-exact).  Scalar phase prefactors are not stored as pulses, but the
+exact).  The c-SWAP sequence is the SWAP sequence with each coupling
+replaced by its controlled counterpart, itself built on the three-body
+construction.  Scalar phase prefactors are not stored as pulses, but the
 e^{-i pi/8 sigma_z} factor on the control qubit of the c-SWAP is a physical
 pulse and is kept.
 
@@ -130,11 +132,6 @@ class CouplingModel:
 # matrix realization
 
 
-def pulse_unitary(pulse: Pulse, register_size: int) -> np.ndarray:
-    """Full 2**register_size unitary of one pulse, identity on other qubits."""
-    return sequence_unitary(PulseSequence((pulse,), register_size))
-
-
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Ordered product of the pulse unitaries (first pulse rightmost).
 
@@ -221,7 +218,7 @@ def three_body_sequence(phi: float, c: int, t: int, s: int) -> PulseSequence:
 def cswap_sequence(c: int, t: int, s: int) -> PulseSequence:
     """Controlled-SWAP (control c) with three-body factors expanded inline.
 
-    Each Ising coupling of the SWAP construction is replaced by its
+    Each Ising coupling of ``swap_sequence(t, s)`` is replaced by its
     controlled counterpart e^{-i pi/8 Z_t Z_s} e^{+i pi/8 Z_c Z_t Z_s}, and a
     z pulse on the control supplies the conditional phase.  All couplings act
     on the pairs (c, t) and (t, s) only.  Equals the canonical gate up to a
@@ -229,21 +226,14 @@ def cswap_sequence(c: int, t: int, s: int) -> PulseSequence:
     """
     if len({c, t, s}) != 3:
         raise ValueError("c-SWAP needs three distinct qubits")
-    q = math.pi / 4
     e = math.pi / 8
-    pulses = [
-        *_three_body_pulses(e, c, t, s),
-        IsingCoupling(-e, (t, s)),
-        Rotation("x", -q, t), Rotation("x", -q, s),
-        *_three_body_pulses(e, c, t, s),
-        IsingCoupling(-e, (t, s)),
-        Rotation("x", q, t), Rotation("x", q, s),
-        Rotation("y", -q, t), Rotation("y", -q, s),
-        *_three_body_pulses(e, c, t, s),
-        IsingCoupling(-e, (t, s)),
-        Rotation("y", q, t), Rotation("y", q, s),
-        Rotation("z", -e, c),
-    ]
+    pulses = []
+    for p in swap_sequence(t, s).pulses:
+        if isinstance(p, IsingCoupling):
+            pulses += [*_three_body_pulses(e, c, t, s), IsingCoupling(-e, (t, s))]
+        else:
+            pulses.append(p)
+    pulses.append(Rotation("z", -e, c))
     return PulseSequence(tuple(pulses), max(c, t, s) + 1)
 
 
@@ -273,15 +263,9 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     trace phase, max elementwise deviation < tol * dim, so near-degenerate
     traces cannot pass on the trace condition alone.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError(f"shapes differ: {u.shape} vs {v.shape}")
-    dim = u.shape[0]
-    tr = np.vdot(u, v)  # Tr(u^dag v)
-    if abs(tr) / dim <= 1 - tol:
-        return False
-    return phase_aligned_deviation(u, v) < tol * dim
+    deviation = phase_aligned_deviation(u, v)
+    dim = len(u)
+    return abs(np.vdot(u, v)) / dim > 1 - tol and deviation < tol * dim
 
 
 def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
@@ -361,9 +345,9 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
 
     Raises ``states.MalformedInput`` on a document of another shape (a
     missing key, an unknown pulse kind, a wrong number of targets, an index
-    that is not an integer, an angle that ``float`` rejects) and a plain
-    ValueError on a sequence that fails validation, such as a target outside
-    the register.
+    that is not an integer, an angle that is not a JSON number or that
+    overflows a float) and a plain ValueError on a sequence that fails
+    validation, such as a target outside the register.
     """
     try:
         fields = []
@@ -371,7 +355,10 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
             if entry["kind"] not in ("rotation", "ising"):
                 raise ValueError(f"unknown pulse kind {entry['kind']!r}")
             targets = [_qubit_count(t, "targets") for t in entry["targets"]]
-            angle = float(entry["angle"])
+            angle = entry["angle"]
+            if isinstance(angle, bool) or not isinstance(angle, (int, float)):
+                raise ValueError(f"angle must be a number, got {angle!r}")
+            angle = float(angle)
             if entry["kind"] == "rotation":
                 (target,) = targets
                 fields.append((Rotation, (entry["axis"], angle, target)))

@@ -303,9 +303,7 @@ def apply_unitary(state: PureState, u: np.ndarray, targets: Sequence[int]) -> Pu
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace over the complement of ``keep``."""
     keep = check_subset(keep, state.n_qubits)
-    rest = [q for q in range(state.n_qubits) if q not in keep]
-    m = np.transpose(state.tensor(), list(keep) + rest).reshape(2 ** len(keep), -1)
-    return DensityMatrix(2 ** len(keep), m @ m.conj().T)
+    return DensityMatrix(2 ** len(keep), _gram_stack(state, [keep])[0])
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -396,39 +394,11 @@ def inner_product(a: PureState, b: PureState) -> complex:
 # state file format: {"n_qubits": n, "amplitudes": [[re, im], ...]}
 
 
-def state_to_dict(state: PureState) -> dict:
-    return {
-        "n_qubits": state.n_qubits,
-        "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),
-    }
-
-
 def _qubit_count(value, field: str = "n_qubits") -> int:
     """An integer count or index field, such as n_qubits; a bool, a string or a fraction is malformed."""
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
-
-
-def _fields(doc) -> tuple[int, np.ndarray]:
-    """The qubit count and amplitude vector of a parsed state document.
-
-    Raises KeyError, TypeError, ValueError or OverflowError on a document of
-    another shape.  ``complex(re, im)`` rejects string and null amplitudes,
-    which ``np.array(pairs, dtype=float)`` would convert to numbers and NaN,
-    and integers too large for a float.
-    """
-    n = _qubit_count(doc["n_qubits"])
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return n, amps
-
-
-def state_from_dict(doc: dict) -> PureState:
-    try:
-        n, amps = _fields(doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"malformed state document: {exc}") from exc
-    return PureState(n, amps)
 
 
 def encode_state(state: PureState) -> bytes:
@@ -478,7 +448,12 @@ def load_state(path: str | Path) -> PureState:
     parse as the state format, and ValueError if the state it holds is invalid.
     """
     try:
-        n, amps = _fields(_parse_json(Path(path).read_bytes()))
+        doc = _parse_json(Path(path).read_bytes())
+        n = _qubit_count(doc["n_qubits"])
+        # complex(re, im) rejects string and null amplitudes, which
+        # np.array(pairs, dtype=float) would convert to numbers and NaN, and
+        # integers too large for a float
+        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MalformedInput(f"malformed state file {path}: {exc}") from exc
     return PureState(n, amps)

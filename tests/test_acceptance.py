@@ -37,7 +37,7 @@ from qent import (
     schmidt_number,
     sequence_unitary,
     subset_purity_circuit,
-    subset_purity_direct,
+    subset_purity_exact,
     swap_sequence,
     swap_test_post_state,
     three_body_sequence,
@@ -225,7 +225,7 @@ def test_criterion_9_subset_purity_protocol():
     for trial in range(5):
         state = random_state(4, rng)
         for subset in ([0], [0, 2], [1, 2, 3]):
-            direct = subset_purity_direct(state, subset)
+            direct = subset_purity_exact(state, subset)
             circuit = subset_purity_circuit(state, subset)
             if abs(direct - circuit) >= 1e-9:
                 failures.append(f"trial {trial} subset {subset}: |{direct!r} - {circuit!r}|")

@@ -336,7 +336,7 @@ class TestVerify:
         assert "must be an integer" in result.output
 
 
-    @pytest.mark.parametrize("edit", ["huge-angle", "not-json", "deep-nesting"])
+    @pytest.mark.parametrize("edit", ["huge-angle", "string-angles", "not-json", "deep-nesting"])
     def test_malformed_sequence_exits_2(self, runner, tmp_path, edit):
         seq_file = tmp_path / "swap.json"
         invoke(runner, "verify", "swap", "--out", seq_file)
@@ -344,6 +344,12 @@ class TestVerify:
             # an integer literal too large for a float
             doc = json.loads(seq_file.read_text())
             doc["pulses"][0]["angle"] = 10**400
+            seq_file.write_text(json.dumps(doc))
+        elif edit == "string-angles":
+            # every angle written as a JSON string that float() would accept
+            doc = json.loads(seq_file.read_text())
+            for pulse in doc["pulses"]:
+                pulse["angle"] = repr(pulse["angle"])
             seq_file.write_text(json.dumps(doc))
         elif edit == "not-json":
             seq_file.write_text("{oops")

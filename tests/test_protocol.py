@@ -26,7 +26,6 @@ from qent import (
     reduced_density,
     sample_outcomes,
     subset_purity_circuit,
-    subset_purity_direct,
     subset_purity_exact,
     swap_test_exact,
     swap_test_post_state,
@@ -485,7 +484,7 @@ class TestSubsetPurity:
         for _ in range(5):
             state = random_state(4, rng)
             for subset in ([0], [1, 3], [0, 1, 2]):
-                direct = subset_purity_direct(state, subset)
+                direct = subset_purity_exact(state, subset)
                 circuit = subset_purity_circuit(state, subset)
                 assert abs(direct - circuit) < 1e-9
 
@@ -501,7 +500,7 @@ class TestSubsetPurity:
     def test_exact_skips_infeasible_circuit(self, rng):
         state = random_state(7, rng)
         value = subset_purity_exact(state, [0, 1])
-        assert abs(value - subset_purity_direct(state, [0, 1])) < 1e-15
+        assert abs(value - purity(reduced_density(state, [0, 1]))) < 1e-15
 
     def test_exact_runs_no_circuit(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

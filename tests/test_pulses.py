@@ -19,7 +19,6 @@ from qent.pulses import (
     interaction_time,
     load_sequence,
     phase_aligned_deviation,
-    pulse_unitary,
     save_sequence,
     sequence_from_dict,
     sequence_to_dict,
@@ -51,16 +50,16 @@ def expm_oracle(pulse, register_size):
 
 class TestPulseUnitary:
     def test_zero_angle_rotation_is_identity(self):
-        u = pulse_unitary(Rotation("z", 0.0, 0), 2)
+        u = sequence_unitary(PulseSequence((Rotation("z", 0.0, 0),), 2))
         assert np.allclose(u, np.eye(4))
 
     def test_ising_pi_is_minus_identity(self):
         # ZZ has eigenvalues +-1, so exp(i pi ZZ) = -1 on both
-        u = pulse_unitary(IsingCoupling(np.pi, (0, 1)), 2)
+        u = sequence_unitary(PulseSequence((IsingCoupling(np.pi, (0, 1)),), 2))
         assert np.allclose(u, -np.eye(4), atol=1e-12)
 
     def test_x_rotation_block_structure(self):
-        u = pulse_unitary(Rotation("x", np.pi / 2, 0), 2)
+        u = sequence_unitary(PulseSequence((Rotation("x", np.pi / 2, 0),), 2))
         expected = np.kron(expm(1j * np.pi / 2 * SX), np.eye(2))
         assert np.allclose(u, expected, atol=1e-12)
 
@@ -70,18 +69,20 @@ class TestPulseUnitary:
             angle = float(rng.uniform(-3, 3))
             target = int(rng.integers(0, 3))
             p = Rotation(axis, angle, target)
-            assert np.allclose(pulse_unitary(p, 3), expm_oracle(p, 3), atol=1e-12)
+            u = sequence_unitary(PulseSequence((p,), 3))
+            assert np.allclose(u, expm_oracle(p, 3), atol=1e-12)
 
     def test_ising_matches_expm_oracle(self, rng):
         for pair in ((0, 1), (0, 2), (1, 2)):
             p = IsingCoupling(float(rng.uniform(-3, 3)), pair)
-            assert np.allclose(pulse_unitary(p, 3), expm_oracle(p, 3), atol=1e-12)
+            u = sequence_unitary(PulseSequence((p,), 3))
+            assert np.allclose(u, expm_oracle(p, 3), atol=1e-12)
 
     def test_rejects_out_of_register_targets(self):
         with pytest.raises(ValueError):
-            pulse_unitary(Rotation("x", 0.1, 2), 2)
+            sequence_unitary(PulseSequence((Rotation("x", 0.1, 2),), 2))
         with pytest.raises(ValueError):
-            pulse_unitary(IsingCoupling(0.1, (0, 3)), 3)
+            sequence_unitary(PulseSequence((IsingCoupling(0.1, (0, 3)),), 3))
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
@@ -280,6 +281,44 @@ class TestCswapSequence:
             cswap_sequence(0, 1, 1)
 
 
+def _document(register_size, rows):
+    """A sequence document from (axis or "zz", angle, targets) rows."""
+    pulses = [{"kind": "ising", "angle": angle, "targets": list(targets)} if axis == "zz"
+              else {"kind": "rotation", "axis": axis, "angle": angle, "targets": list(targets)}
+              for axis, angle, targets in rows]
+    return {"register_size": register_size, "pulses": pulses}
+
+
+Q, E, H = np.pi / 4, np.pi / 8, np.pi / 2
+
+
+class TestPulseOrder:
+    """The exported pulse lists, in order; reordering commuting pulses keeps the unitary."""
+
+    def test_swap_document(self):
+        want = _document(2, [
+            ("zz", -Q, (1, 0)), ("x", -Q, (1,)), ("x", -Q, (0,)),
+            ("zz", -Q, (1, 0)), ("x", Q, (1,)), ("x", Q, (0,)), ("y", -Q, (1,)), ("y", -Q, (0,)),
+            ("zz", -Q, (1, 0)), ("y", Q, (1,)), ("y", Q, (0,)),
+        ])
+        assert sequence_to_dict(swap_sequence(1, 0)) == want
+
+    def test_cswap_document(self):
+        controlled = [  # the controlled counterpart of one coupling on (t, s) = (0, 4)
+            ("y", Q, (0,)), ("x", Q, (0,)), ("y", H, (2,)), ("zz", Q, (2, 0)),
+            ("x", -Q, (0,)), ("y", -Q, (2,)), ("zz", -E, (0, 4)), ("x", Q, (0,)),
+            ("y", Q, (2,)), ("zz", -Q, (2, 0)), ("x", -Q, (0,)), ("y", -Q, (0,)),
+            ("y", -H, (2,)), ("zz", -E, (0, 4)),
+        ]
+        want = _document(5, [
+            *controlled, ("x", -Q, (0,)), ("x", -Q, (4,)),
+            *controlled, ("x", Q, (0,)), ("x", Q, (4,)), ("y", -Q, (0,)), ("y", -Q, (4,)),
+            *controlled, ("y", Q, (0,)), ("y", Q, (4,)),
+            ("z", -E, (2,)),
+        ])
+        assert sequence_to_dict(cswap_sequence(2, 0, 4)) == want
+
+
 class TestInteractionTime:
     def test_empty_sequence_costs_nothing(self):
         assert interaction_time(PulseSequence((), 2), CouplingModel(1.0)) == 0.0
@@ -372,8 +411,11 @@ class TestSequenceFiles:
          {"kind": "rotation", "angle": 0.1, "targets": [0]},
          {"kind": "rotation", "axis": "x", "angle": 0.1, "targets": [0, 1]},
          {"kind": "ising", "angle": "pi", "targets": [0, 1]},
-         {"kind": "ising", "angle": 10**400, "targets": [0, 1]}],
-        ids=["unknown-kind", "no-axis", "two-targets", "string-angle", "huge-angle"],
+         {"kind": "ising", "angle": 10**400, "targets": [0, 1]},
+         {"kind": "ising", "angle": "0.7853981633974483", "targets": [0, 1]},
+         {"kind": "rotation", "axis": "x", "angle": True, "targets": [0]}],
+        ids=["unknown-kind", "no-axis", "two-targets", "string-angle", "huge-angle",
+             "numeric-string-angle", "bool-angle"],
     )
     def test_malformed_document_raises_malformed_input(self, pulse):
         with pytest.raises(MalformedInput, match="malformed sequence document"):

@@ -1,0 +1,54 @@
+"""Smoke tests of the benchmark sweeps under scripts/: they import, and the harness merges sections."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PROVENANCE = ("command", "python", "numpy", "host")
+
+
+@pytest.fixture(autouse=True)
+def scripts_on_path(monkeypatch):
+    # the sweeps import their harness as the top-level module ``sweep``
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("bench_*.py")), ids=lambda p: p.stem)
+def test_bench_script_imports(path):
+    assert callable(_load(path).main)
+
+
+def test_write_section_keeps_both_sections(tmp_path):
+    sweep = _load(SCRIPTS / "sweep.py")
+    out = tmp_path / "BENCH_test.json"
+    sweep.write_section(out, "before", "cmd --label before", rows=[1])
+    sweep.write_section(out, "after", "cmd --label after", rows=[2])
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["before", "after"]
+    for label, rows in (("before", [1]), ("after", [2])):
+        assert list(doc[label]) == [*PROVENANCE, "rows"]
+        assert doc[label]["command"] == f"cmd --label {label}"
+        assert doc[label]["rows"] == rows
+
+
+@pytest.mark.parametrize("peak,key", [("bytes", "tracemalloc_peak_bytes"),
+                                      ("mib", "tracemalloc_peak_mib")])
+def test_timed_keys(peak, key):
+    sweep = _load(SCRIPTS / "sweep.py")
+    assert list(sweep.timed(lambda: None, 3)) == ["calls", "median_s", "min_s"]
+    row = sweep.timed(lambda: bytearray(1 << 16), 3, peak=peak)
+    assert list(row) == ["calls", "median_s", "min_s", key] and row["calls"] == 3
+    assert row[key] >= (1 << 16 if peak == "bytes" else 1 / 16)

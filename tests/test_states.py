@@ -30,8 +30,6 @@ from qent.states import (
     _check_density_stack,
     _norm2,
     encode_state,
-    state_from_dict,
-    state_to_dict,
     subset_purities,
 )
 
@@ -427,14 +425,17 @@ class TestStateFiles:
         amps[0] = complex(1e-05, -1e-05)
         state = PureState(4, amps)
         path = tmp_path / "old.json"
-        path.write_text(json.dumps(state_to_dict(state)) + "\n")
+        pairs = amps.view(float).reshape(-1, 2).tolist()
+        path.write_text(json.dumps({"n_qubits": 4, "amplitudes": pairs}) + "\n")
         assert "[1e-05, -1e-05], [" in path.read_text()
         assert np.array_equal(load_state(path).amplitudes.view(np.uint64), amps.view(np.uint64))
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
+        # the document json parses from a state file, written back by json
         state = w_state(3)
-        again = state_from_dict(state_to_dict(state))
-        assert np.array_equal(again.amplitudes, state.amplitudes)
+        path = tmp_path / "w3.json"
+        path.write_text(json.dumps(json.loads(encode_state(state))))
+        assert np.array_equal(load_state(path).amplitudes, state.amplitudes)
 
     def test_encoding_matches_per_element_floats(self):
         amps = random_state(8, 31).amplitudes.copy()
@@ -444,18 +445,18 @@ class TestStateFiles:
         amps[5], amps[6] = complex(-0.0, -0.0), complex(0.0, -0.0)
         state = PureState(8, amps)
         per_element = [[float(a.real), float(a.imag)] for a in state.amplitudes]
-        text = json.dumps(state_to_dict(state))
-        assert text == json.dumps({"n_qubits": 8, "amplitudes": per_element})
-        assert "[-0.0, -0.0], [0.0, -0.0]" in text
+        data = encode_state(state)
+        assert json.loads(data) == {"n_qubits": 8, "amplitudes": per_element}
+        assert b"[-0.0,-0.0],[0.0,-0.0]" in data
 
     def test_rejects_malformed_documents(self, tmp_path):
-        with pytest.raises(MalformedInput, match="malformed"):
-            state_from_dict({"n_qubits": 2})
-        with pytest.raises(MalformedInput, match="malformed"):
-            state_from_dict({"n_qubits": 2, "amplitudes": "nope"})
-        with pytest.raises(MalformedInput, match="too large"):
-            state_from_dict({"n_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]})
         bad = tmp_path / "bad.json"
+        for doc, match in (({"n_qubits": 2}, "malformed"),
+                           ({"n_qubits": 2, "amplitudes": "nope"}, "malformed"),
+                           ({"n_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]}, "too large")):
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(MalformedInput, match=match):
+                load_state(bad)
         bad.write_text("{not json")
         with pytest.raises(MalformedInput, match="malformed"):
             load_state(bad)
@@ -480,11 +481,15 @@ class TestStateFiles:
             load_state(tmp_path / "missing.json")
 
     @pytest.mark.parametrize("n_qubits", [2.9, True, float("nan"), float("inf"), "2"])
-    def test_rejects_non_integral_qubit_count(self, n_qubits):
+    def test_rejects_non_integral_qubit_count(self, tmp_path, n_qubits):
         amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        with pytest.raises(ValueError, match="malformed"):
-            state_from_dict({"n_qubits": n_qubits, "amplitudes": amps})
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_qubits": n_qubits, "amplitudes": amps}))
+        with pytest.raises(MalformedInput, match="malformed"):
+            load_state(path)
 
-    def test_accepts_integral_float_qubit_count(self):
+    def test_accepts_integral_float_qubit_count(self, tmp_path):
         amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        assert state_from_dict({"n_qubits": 2.0, "amplitudes": amps}).n_qubits == 2
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_qubits": 2.0, "amplitudes": amps}))
+        assert load_state(path).n_qubits == 2
