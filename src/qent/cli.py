@@ -68,7 +68,17 @@ def _parse_ints(text: str, option: str) -> list[int]:
         _fail(1, f"cannot parse {option} {text!r}; expected comma-separated integers")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one exit-code boundary: a ``ValueError`` from any command exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail(1, str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Global entanglement Q: generation, measurement, and protocol tools."""
 
@@ -80,22 +90,19 @@ def main():
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def gen(kind: str, n: int, seed: int | None, out: str | None):
     """Write a state file for a named state family."""
-    try:
-        if kind == "ghz":
-            state = states.ghz_state(n)
-        elif kind == "w":
-            state = states.w_state(n)
-        elif kind == "cluster":
-            state = states.cluster_state(n)
-        elif kind == "product":
-            if seed is None:
-                state = states.product_state([(1, 0)] * n)
-            else:
-                state = states.random_product_state(n, seed)
+    if kind == "ghz":
+        state = states.ghz_state(n)
+    elif kind == "w":
+        state = states.w_state(n)
+    elif kind == "cluster":
+        state = states.cluster_state(n)
+    elif kind == "product":
+        if seed is None:
+            state = states.product_state([(1, 0)] * n)
         else:
-            state = states.random_state(n, seed)
-    except ValueError as exc:
-        _fail(1, str(exc))
+            state = states.random_product_state(n, seed)
+    else:
+        state = states.random_state(n, seed)
     if out is None:
         click.echo(states.encode_state(state), nl=False)
     else:
@@ -121,10 +128,7 @@ def q(statefile: str, route: str, as_json: bool, out: str | None):
         "protocol": protocol.q_protocol_exact,
     }
     wanted = list(fns) if route == "all" else [route]
-    try:
-        values = {name: fns[name](state) for name in wanted}
-    except ValueError as exc:
-        _fail(1, str(exc))
+    values = {name: fns[name](state) for name in wanted}
     doc = {"state": statefile, "n_qubits": state.n_qubits, "q": values}
     lines = [f"Q({name}) = {val:.15g}" for name, val in values.items()]
     if route == "all":
@@ -154,27 +158,21 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
         _fail(1, "--phi only applies to the threebody target")
     if not (math.isfinite(tol) and tol > 0):
         _fail(1, f"--tol must be finite and > 0, got {tol}")
-    try:
-        if target == "swap":
-            seq = pulses.swap_sequence(0, 1)
-            canonical = pulses.canonical_swap(0, 1, seq.register_size)
-        elif target == "threebody":
-            seq = pulses.three_body_sequence(phi, 0, 1, 2)
-            canonical = pulses.zzz_unitary(phi, 0, 1, 2, seq.register_size)
-        else:
-            seq = pulses.cswap_sequence(0, 1, 2)
-            canonical = pulses.canonical_cswap(0, 1, 2, seq.register_size)
-    except ValueError as exc:
-        _fail(1, str(exc))
+    if target == "swap":
+        seq = pulses.swap_sequence(0, 1)
+        canonical = pulses.canonical_swap(0, 1, seq.register_size)
+    elif target == "threebody":
+        seq = pulses.three_body_sequence(phi, 0, 1, 2)
+        canonical = pulses.zzz_unitary(phi, 0, 1, 2, seq.register_size)
+    else:
+        seq = pulses.cswap_sequence(0, 1, 2)
+        canonical = pulses.canonical_cswap(0, 1, 2, seq.register_size)
     if sequence_file is not None:
         seq = _read(pulses.load_sequence, sequence_file, "sequence")
         if seq.register_size != int(math.log2(canonical.shape[0])):
             _fail(1, f"sequence register size {seq.register_size} does not match target")
-    try:
-        deviation = pulses.phase_aligned_deviation(canonical, pulses.sequence_unitary(seq))
-        time = pulses.interaction_time(seq, pulses.CouplingModel(g, sign_tunable))
-    except ValueError as exc:
-        _fail(1, str(exc))
+    deviation = pulses.phase_aligned_deviation(canonical, pulses.sequence_unitary(seq))
+    time = pulses.interaction_time(seq, pulses.CouplingModel(g, sign_tunable))
     ok = deviation < tol
     doc = {
         "target": target,
@@ -215,15 +213,18 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
     """Sample the measurement protocol, or run subset-purity / convergence runs."""
+    instead = "--subset" if subset is not None else "--sweep" if sweep is not None else None
+    for option, given in (("--sweep", subset is not None and sweep is not None),
+                          ("--trials", instead is not None and trials is not None),
+                          ("--mode joint", instead is not None and mode == "joint")):
+        if given:
+            _fail(1, f"{option} does not apply with {instead}")
     state = _read(states.load_state, statefile, "state")
     if subset is not None:
         indices = _parse_ints(subset, "--subset")
-        try:
-            direct = protocol.subset_purity_exact(state, indices)
-            feasible = len(indices) + 2 * state.n_qubits <= protocol.FULL_JOINT_MAX_QUBITS
-            circuit = protocol.subset_purity_circuit(state, indices) if feasible else None
-        except ValueError as exc:
-            _fail(1, str(exc))
+        direct = protocol.subset_purity_exact(state, indices)
+        feasible = len(indices) + 2 * state.n_qubits <= protocol.FULL_JOINT_MAX_QUBITS
+        circuit = protocol.subset_purity_circuit(state, indices) if feasible else None
         doc = {
             "state": statefile,
             "subset": indices,
@@ -238,20 +239,14 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
         return
     if sweep is not None:
         counts = _parse_ints(sweep, "--sweep")
-        try:
-            rows = protocol.convergence_sweep(state, counts, seed)
-        except ValueError as exc:
-            _fail(1, str(exc))
+        rows = protocol.convergence_sweep(state, counts, seed)
         _write_text(protocol.sweep_csv(rows), out)
         return
     if trials is None or trials < 1:
         _fail(1, f"--trials must be a positive integer, got {trials}")
     mode_name = protocol.MODE_EXACT_MARGINAL if mode == "exact" else protocol.MODE_FULL_JOINT
-    try:
-        run = protocol.ProtocolRun(state, trials, seed, mode_name)
-        doc = protocol.run_report(run, state_ref=statefile)
-    except ValueError as exc:
-        _fail(1, str(exc))
+    run = protocol.ProtocolRun(state, trials, seed, mode_name)
+    doc = protocol.run_report(run, state_ref=statefile)
     lines = [
         f"Q estimate = {doc['q_estimate']:.15g} +- {doc['std_error']:.3g} "
         f"({trials} trials, {mode_name})",

@@ -50,6 +50,7 @@ from .pulses import canonical_cswap
 from .states import (
     DensityMatrix,
     PureState,
+    _norm2,
     apply_unitary,
     check_subset,
     purity,
@@ -293,15 +294,7 @@ def joint_outcome_distribution(state: PureState) -> np.ndarray:
     ``_joint_distribution``, which the samplers read; no estimator calls it.
     """
     n = state.n_qubits
-    if 3 * n > FULL_JOINT_MAX_QUBITS:
-        raise ValueError(
-            f"full-joint simulation needs 3*n_qubits <= {FULL_JOINT_MAX_QUBITS}, got {3 * n}"
-        )
-    plus = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-    amps = np.kron(plus, np.kron(state.amplitudes, state.amplitudes))
-    joint = PureState(3 * n, amps)
-    for j in range(n):
-        joint = apply_unitary(joint, canonical_cswap(0, 1, 2, 3), [j, n + j, 2 * n + j])
+    joint = _controlled_swaps(lambda: PureState(n, np.full(2**n, 2 ** (-n / 2))), state, range(n))
     for j in range(n):
         joint = apply_unitary(joint, _HADAMARD, [j])
     weights = np.abs(joint.tensor()) ** 2
@@ -371,7 +364,6 @@ def subset_purity_exact(state: PureState, subset) -> float:
     return float(subset_purities(state, [subset])[0])
 
 
-
 def subset_purity_circuit(state: PureState, subset) -> float:
     """Tr[rho_subset^2] from the full entangled-control circuit.
 
@@ -381,29 +373,43 @@ def subset_purity_circuit(state: PureState, subset) -> float:
     sigma_x basis; then Tr[rho_subset^2] = 2 p(+) - 1.
     """
     subset = check_subset(subset, state.n_qubits)
-    m, n = len(subset), state.n_qubits
-    total = m + 2 * n
-    if total > FULL_JOINT_MAX_QUBITS:
-        raise ValueError(
-            f"circuit simulation needs |subset| + 2*n_qubits <= {FULL_JOINT_MAX_QUBITS}, "
-            f"got {total}"
-        )
-    control = np.zeros(2**m, dtype=complex)
-    control[0] = control[2 ** (m - 1)] = 1 / np.sqrt(2)
-    amps = np.kron(control, np.kron(state.amplitudes, state.amplitudes))
-    joint = PureState(total, amps)
-    for k in range(1, m):
-        joint = apply_unitary(joint, _CNOT, [k - 1, k])
-    for j, qubit in enumerate(subset):
-        joint = apply_unitary(
-            joint, canonical_cswap(0, 1, 2, 3), [j, m + qubit, m + n + qubit]
-        )
+    m = len(subset)
+
+    def ghz_control() -> PureState:
+        amps = np.zeros(2**m, dtype=complex)
+        amps[0] = amps[2 ** (m - 1)] = 1 / np.sqrt(2)
+        control = PureState(m, amps)
+        for k in range(1, m):
+            control = apply_unitary(control, _CNOT, [k - 1, k])
+        return control
+
+    joint = _controlled_swaps(ghz_control, state, subset)
     for k in range(m - 1, 0, -1):
         joint = apply_unitary(joint, _CNOT, [k - 1, k])
     t = joint.tensor()
     plus_component = (t[0] + t[1]) / np.sqrt(2)
     p_plus = float(np.sum(np.abs(plus_component) ** 2))
     return 2.0 * p_plus - 1.0
+
+
+def _controlled_swaps(control, state: PureState, columns) -> PureState:
+    """control() (x) psi (x) psi after a c-SWAP of copy qubits ``columns[j]`` under control j.
+
+    ``control`` builds the len(columns)-qubit control register once the whole
+    register is known to fit.  The two copies are divided by their norm: psi of
+    squared norm 1 +- 0.9e-10 passes ``PureState``, but psi (x) psi would not.
+    """
+    m, n = len(columns), state.n_qubits
+    if m + 2 * n > FULL_JOINT_MAX_QUBITS:
+        raise ValueError(
+            f"circuit simulation of {m} control qubits and two {n}-qubit copies needs "
+            f"at most FULL_JOINT_MAX_QUBITS = {FULL_JOINT_MAX_QUBITS} qubits, got {m + 2 * n}"
+        )
+    doubled = np.kron(state.amplitudes, state.amplitudes)
+    joint = PureState(m + 2 * n, np.kron(control().amplitudes, doubled / np.sqrt(_norm2(doubled))))
+    for j, qubit in enumerate(columns):
+        joint = apply_unitary(joint, canonical_cswap(0, 1, 2, 3), [j, m + qubit, m + n + qubit])
+    return joint
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ product in place of a dense pulse matrix, O(4^r) per pulse on r qubits.  A
 coupling is a phase vector, exp(i angle z_a z_b) with z_q the +-1 sign of
 qubit q on each basis state, multiplied into the rows; a rotation is one
 2x2 step, cos(angle) I + i sin(angle) sigma applied to the product viewed
-as (2^q, 2, rest).  ``pulse_unitary`` is the same path on a one-pulse
-sequence.
+as (2^q, 2, rest).
 
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
@@ -284,9 +283,14 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
 # canonical gates (verification targets)
 
 
+def _check_gate_targets(gate: str, targets: tuple[int, ...], register_size: int) -> None:
+    """Reject repeated, negative or out-of-range targets of a canonical gate."""
+    if len(set(targets)) != len(targets) or min(targets) < 0 or max(targets) >= register_size:
+        raise ValueError(f"invalid {gate} targets {targets} for register {register_size}")
+
+
 def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
-    if t == s or max(t, s) >= register_size:
-        raise ValueError(f"invalid SWAP targets ({t}, {s}) for register {register_size}")
+    _check_gate_targets("SWAP", (t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     swapped = _swap_bits(idx, t, s, register_size)
@@ -296,8 +300,7 @@ def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
 
 
 def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
-    if len({c, t, s}) != 3 or max(c, t, s) >= register_size:
-        raise ValueError(f"invalid c-SWAP targets ({c}, {t}, {s}) for register {register_size}")
+    _check_gate_targets("c-SWAP", (c, t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     control_on = ((idx >> (register_size - 1 - c)) & 1) == 1
@@ -309,8 +312,7 @@ def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
 
 def zzz_unitary(phi: float, c: int, t: int, s: int, register_size: int) -> np.ndarray:
     """exp(+i phi Z_c Z_t Z_s): diagonal phases by parity of the three bits."""
-    if len({c, t, s}) != 3 or max(c, t, s) >= register_size:
-        raise ValueError(f"invalid targets ({c}, {t}, {s}) for register {register_size}")
+    _check_gate_targets("three-body", (c, t, s), register_size)
     idx = np.arange(2**register_size)
     par = sum((idx >> (register_size - 1 - q)) & 1 for q in (c, t, s)) % 2
     return np.diag(np.exp(1j * phi * (1.0 - 2.0 * par)))

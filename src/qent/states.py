@@ -75,13 +75,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        # before 2**n_qubits, which a huge count turns into a huge integer
-        if self.n_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"n_qubits = {self.n_qubits} exceeds the cap of MAX_QUBITS = {MAX_QUBITS}"
-            )
+        _check_qubit_count(self.n_qubits, 1, "state")
         amps = _frozen_complex_array(self.amplitudes, -1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(
@@ -186,7 +180,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _check_qubit_count(n: int, minimum: int, family: str) -> None:
-    """Reject n outside [minimum, MAX_QUBITS]; factories call it before allocating."""
+    """Reject n outside [minimum, MAX_QUBITS]; states and factories call it before allocating."""
     if n < minimum:
         raise ValueError(f"{family} needs n >= {minimum} qubits, got {n}")
     if n > MAX_QUBITS:

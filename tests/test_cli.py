@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qent import ghz_state, measures, protocol
+from qent import ghz_state, measures, protocol, pulses, states
 from qent.cli import main, run
 from qent.states import encode_state, random_state, save_state
 
@@ -200,12 +200,16 @@ class TestQ:
     def test_norm_edge_gives_one_verdict_on_every_route(self, runner, tmp_path, sign):
         amps = ghz_state(3).amplitudes
         path = tmp_path / "edge.json"
+        routes = ("all", "direct", "purity", "protocol")
+        commands = [("q", path, "--route", route) for route in routes]
+        commands += [("protocol", path, "--subset", 0),
+                     ("protocol", path, "--trials", 1000, "--mode", "joint")]
         # norm 1 +- 0.9e-10 is out of tolerance; squared norm 1 +- 0.9e-10 is in
         for scale, code in ((1 + sign * 0.9e-10, 1), (np.sqrt(1 + sign * 0.9e-10), 0)):
             pairs = (amps * scale).view(float).reshape(-1, 2).tolist()
             path.write_text(json.dumps({"n_qubits": 3, "amplitudes": pairs}))
-            for route in ("all", "direct", "purity", "protocol"):
-                assert invoke(runner, "q", path, "--route", route).exit_code == code
+            for args in commands:
+                assert invoke(runner, *args).exit_code == code, args
 
     def test_single_qubit_state_exits_1(self, runner, tmp_path):
         # Q is undefined without a remainder register to project onto
@@ -475,6 +479,50 @@ class TestProtocol:
         r1 = invoke(runner, "protocol", path, "--trials", 5000, "--seed", 9)
         r2 = invoke(runner, "protocol", path, "--trials", 5000, "--seed", 9)
         assert r1.output == r2.output
+
+    @pytest.mark.parametrize("args,message", [
+        (("--subset", "0", "--sweep", "10,100"), "--sweep does not apply with --subset"),
+        (("--subset", "0", "--trials", 10), "--trials does not apply with --subset"),
+        (("--subset", "0", "--mode", "joint"), "--mode joint does not apply with --subset"),
+        (("--sweep", "10,100", "--trials", 10), "--trials does not apply with --sweep"),
+        (("--sweep", "10,100", "--mode", "joint"), "--mode joint does not apply with --sweep"),
+    ], ids=["subset-sweep", "subset-trials", "subset-mode", "sweep-trials", "sweep-mode"])
+    def test_options_that_do_not_apply_exit_1(self, runner, tmp_path, args, message):
+        # rejected before the state file is read, so a missing file does not exit 2
+        result = invoke(runner, "protocol", tmp_path / "missing.json", *args)
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [("--subset", "0"), ("--sweep", "10,100")])
+    def test_default_mode_applies_with_subset_and_sweep(self, runner, tmp_path, args):
+        path = tmp_path / "w3.json"
+        invoke(runner, "gen", "w", "--n", 3, "--out", path)
+        with_mode = invoke(runner, "protocol", path, *args, "--mode", "exact")
+        assert with_mode.exit_code == 0
+        assert with_mode.output == invoke(runner, "protocol", path, *args).output
+
+
+class TestExitCodeBoundary:
+    @pytest.mark.parametrize("module,name,args", [
+        (states, "ghz_state", ("gen", "ghz", "--n", 3)),
+        (measures, "q_direct", ("q", "{state}", "--route", "direct")),
+        (pulses, "swap_sequence", ("verify", "swap")),
+        (protocol, "run_report", ("protocol", "{state}", "--trials", 10)),
+        (protocol, "subset_purity_exact", ("protocol", "{state}", "--subset", "0")),
+        (protocol, "convergence_sweep", ("protocol", "{state}", "--sweep", "10,100")),
+    ], ids=["gen", "q", "verify", "protocol-sampled", "protocol-subset", "protocol-sweep"])
+    def test_value_error_exits_1_with_one_line(self, runner, tmp_path, monkeypatch,
+                                               module, name, args):
+        path = tmp_path / "w3.json"
+        save_state(states.w_state(3), path)
+
+        def boom(*a, **k):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(module, name, boom)
+        result = invoke(runner, *(str(path) if a == "{state}" else a for a in args))
+        assert result.exit_code == 1
+        assert result.output == "error: boom\n"
 
 
 class TestEntryPoint:

@@ -27,6 +27,12 @@ from qent import (
     wedge_distance,
 )
 from qent import measures
+from qent.protocol import (
+    _joint_distribution,
+    joint_outcome_distribution,
+    subset_purity_circuit,
+    subset_purity_exact,
+)
 
 from conftest import bell_bell, brute_force_wedge, haar_unitary
 
@@ -205,6 +211,12 @@ class TestQRoutes:
         edge = PureState(3, amps * np.sqrt(1 + sign * 0.9e-10))
         for q in (q_direct(edge), q_purity(edge), q_protocol_exact(edge)):
             assert abs(q - 1.0) < 1e-9
+        # the circuit oracles hold two copies of the state, squared norm 1 +- 1.8e-10
+        joint = joint_outcome_distribution(edge)
+        assert np.max(np.abs(joint - _joint_distribution(edge))) < 1e-9
+        for subset in ([0], [0, 2]):
+            circuit = subset_purity_circuit(edge, subset)
+            assert abs(circuit - subset_purity_exact(edge, subset)) < 1e-9
 
     def test_bell_bell_and_ghz4_both_maximal(self):
         assert abs(q_purity(bell_bell()) - 1.0) < 1e-12

@@ -492,8 +492,12 @@ class TestSubsetPurity:
         with pytest.raises(ValueError):
             subset_purity_exact(random_state(2, rng), [])
 
-    def test_circuit_rejects_oversized_problem(self, rng):
+    def test_circuit_rejects_oversized_problem(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran before the size check")
+
         state = random_state(7, rng)  # 2 + 14 > 14
+        monkeypatch.setattr(protocol, "apply_unitary", forbidden)
         with pytest.raises(ValueError, match="circuit"):
             subset_purity_circuit(state, [0, 1])
 

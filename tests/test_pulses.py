@@ -365,6 +365,19 @@ class TestInteractionTime:
             CouplingModel(g)
 
 
+class TestCanonicalGates:
+    @pytest.mark.parametrize("targets", [(-1, 0, 1), (1, 1, 0), (0, 3, 1)],
+                             ids=["negative", "repeated", "past-register"])
+    @pytest.mark.parametrize("build", [
+        lambda t: canonical_swap(t[0], t[1], 3),
+        lambda t: canonical_cswap(*t, 3),
+        lambda t: zzz_unitary(0.3, *t, 3),
+    ], ids=["swap", "cswap", "zzz"])
+    def test_rejects_bad_targets(self, build, targets):
+        with pytest.raises(ValueError, match="invalid .*targets"):
+            build(targets)
+
+
 class TestGlobalPhaseComparison:
     def test_phase_multiples_are_equal(self, rng):
         from conftest import haar_unitary
