@@ -50,7 +50,7 @@ def _emit(doc: dict, human_lines: list[str], as_json: bool, out: str | None):
 
 
 def _read(load, path: str, what: str):
-    """load(path), exiting 2 on an unreadable or malformed file and 1 on an invalid ``what``."""
+    """load(path), exiting 2 on an unreadable or malformed file; an invalid ``what`` exits 1."""
     try:
         return load(path)
     except OSError as exc:
@@ -58,14 +58,14 @@ def _read(load, path: str, what: str):
     except states.MalformedInput as exc:
         _fail(2, str(exc))
     except ValueError as exc:
-        _fail(1, f"invalid {what} in {path}: {exc}")
+        raise ValueError(f"invalid {what} in {path}: {exc}") from exc
 
 
 def _parse_ints(text: str, option: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        _fail(1, f"cannot parse {option} {text!r}; expected comma-separated integers")
+        raise ValueError(f"cannot parse {option} {text!r}; expected comma-separated integers")
 
 
 class _Commands(click.Group):
@@ -153,11 +153,11 @@ def q(statefile: str, route: str, as_json: bool, out: str | None):
 def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
     """Check a pulse sequence against its canonical gate, up to global phase."""
     if target == "threebody" and phi is None:
-        _fail(1, "--phi is required for the threebody target")
+        raise ValueError("--phi is required for the threebody target")
     if target != "threebody" and phi is not None:
-        _fail(1, "--phi only applies to the threebody target")
+        raise ValueError("--phi only applies to the threebody target")
     if not (math.isfinite(tol) and tol > 0):
-        _fail(1, f"--tol must be finite and > 0, got {tol}")
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
     if target == "swap":
         seq = pulses.swap_sequence(0, 1)
         canonical = pulses.canonical_swap(0, 1, seq.register_size)
@@ -170,7 +170,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
     if sequence_file is not None:
         seq = _read(pulses.load_sequence, sequence_file, "sequence")
         if seq.register_size != int(math.log2(canonical.shape[0])):
-            _fail(1, f"sequence register size {seq.register_size} does not match target")
+            raise ValueError(f"sequence register size {seq.register_size} does not match target")
     deviation = pulses.phase_aligned_deviation(canonical, pulses.sequence_unitary(seq))
     time = pulses.interaction_time(seq, pulses.CouplingModel(g, sign_tunable))
     ok = deviation < tol
@@ -218,13 +218,13 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
                           ("--trials", instead is not None and trials is not None),
                           ("--mode joint", instead is not None and mode == "joint")):
         if given:
-            _fail(1, f"{option} does not apply with {instead}")
+            raise ValueError(f"{option} does not apply with {instead}")
     state = _read(states.load_state, statefile, "state")
     if subset is not None:
         indices = _parse_ints(subset, "--subset")
         direct = protocol.subset_purity_exact(state, indices)
-        feasible = len(indices) + 2 * state.n_qubits <= protocol.FULL_JOINT_MAX_QUBITS
-        circuit = protocol.subset_purity_circuit(state, indices) if feasible else None
+        fits = protocol._circuit_fits(len(indices), state.n_qubits)
+        circuit = protocol.subset_purity_circuit(state, indices) if fits else None
         doc = {
             "state": statefile,
             "subset": indices,
@@ -243,7 +243,7 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
         _write_text(protocol.sweep_csv(rows), out)
         return
     if trials is None or trials < 1:
-        _fail(1, f"--trials must be a positive integer, got {trials}")
+        raise ValueError(f"--trials must be a positive integer, got {trials}")
     mode_name = protocol.MODE_EXACT_MARGINAL if mode == "exact" else protocol.MODE_FULL_JOINT
     run = protocol.ProtocolRun(state, trials, seed, mode_name)
     doc = protocol.run_report(run, state_ref=statefile)

@@ -46,11 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _check_measurable
 from .pulses import canonical_cswap
 from .states import (
     DensityMatrix,
     PureState,
+    _bits,
     _norm2,
+    _subset_index,
     apply_unitary,
     check_subset,
     purity,
@@ -191,9 +194,7 @@ def minus_probabilities(state: PureState) -> np.ndarray:
 
 def q_protocol_exact(state: PureState) -> float:
     """Q from the counting identity: (4/n) * sum_k p(-)_k."""
-    if state.n_qubits < 2:
-        raise ValueError("protocol Q is defined for n >= 2 qubits")
-    return float(4.0 / state.n_qubits * np.sum(minus_probabilities(state)))
+    return float(4.0 / _check_measurable(state) * np.sum(minus_probabilities(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +252,6 @@ def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
     return OutcomeTally(minus, bins)
 
 
-def _bits(patterns: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (len(patterns), n) unpacking; column j is bit n-1-j."""
-    shifts = np.arange(n - 1, -1, -1)
-    return ((patterns[:, np.newaxis] >> shifts[np.newaxis, :]) & 1).astype(bool)
-
-
 def _joint_distribution(state: PureState) -> np.ndarray:
     """Joint distribution of the n ancilla bits from the subset-purity table.
 
@@ -272,11 +267,10 @@ def _joint_distribution(state: PureState) -> np.ndarray:
     """
     n = state.n_qubits
     table = np.ones(2**n)  # the empty set and the whole register are pure
-    # qubit q is bit n-1-q of a subset's index, as ancilla j is of b's
-    weights = 1 << np.arange(n - 1, -1, -1)
     for m in range(1, n // 2 + 1):
         subsets = [s for s in itertools.combinations(range(n), m) if 2 * m < n or s[0] == 0]
-        index = weights[np.array(subsets)].sum(axis=1)
+        # a subset's index sets its qubits' bits, as b sets its ancillas'
+        index = _subset_index(subsets, n)
         table[index] = table[2**n - 1 - index] = subset_purities(state, subsets)
     for q in range(n):
         halves = table.reshape(2**q, 2, -1)
@@ -304,6 +298,7 @@ def joint_outcome_distribution(state: PureState) -> np.ndarray:
 
 def q_protocol_sampled(run: ProtocolRun) -> EstimatorStats:
     """Monte Carlo estimate of Q from per-trial counts of "1" ancillas."""
+    _check_measurable(run.state)
     return _estimate(tally_outcomes(run))
 
 
@@ -314,8 +309,6 @@ def _estimate(tally: OutcomeTally) -> EstimatorStats:
     division and square root.
     """
     n = tally.minus_counts.size
-    if n < 2:
-        raise ValueError("protocol Q is defined for n >= 2 qubits")
     hist = [int(h) for h in tally.count_histogram]
     n_trials = sum(hist)
     s1 = sum(k * h for k, h in enumerate(hist))
@@ -400,7 +393,7 @@ def _controlled_swaps(control, state: PureState, columns) -> PureState:
     squared norm 1 +- 0.9e-10 passes ``PureState``, but psi (x) psi would not.
     """
     m, n = len(columns), state.n_qubits
-    if m + 2 * n > FULL_JOINT_MAX_QUBITS:
+    if not _circuit_fits(m, n):
         raise ValueError(
             f"circuit simulation of {m} control qubits and two {n}-qubit copies needs "
             f"at most FULL_JOINT_MAX_QUBITS = {FULL_JOINT_MAX_QUBITS} qubits, got {m + 2 * n}"
@@ -412,12 +405,18 @@ def _controlled_swaps(control, state: PureState, columns) -> PureState:
     return joint
 
 
+def _circuit_fits(m: int, n: int) -> bool:
+    """Whether m control qubits and two n-qubit copies fit the simulated register."""
+    return m + 2 * n <= FULL_JOINT_MAX_QUBITS
+
+
 # ---------------------------------------------------------------------------
 # result export
 
 
 def run_report(run: ProtocolRun, state_ref: str | None = None) -> dict:
     """JSON-ready summary of a sampled run."""
+    _check_measurable(run.state)
     tally = tally_outcomes(run)
     stats = _estimate(tally)
     return {

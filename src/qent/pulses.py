@@ -45,7 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .states import MalformedInput, _qubit_count
+from .states import MalformedInput, _check_targets, _parse_json, _qubit_count, _z_signs
 
 AXES = ("x", "y", "z")
 _PAULI = {
@@ -69,10 +69,7 @@ class Rotation:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-        qubit = _qubit_count(self.qubit, "qubit")
-        if qubit < 0:
-            raise ValueError(f"qubit index must be >= 0, got {qubit}")
-        object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "qubit", _qubit_count(self.qubit, "qubit"))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,6 @@ class IsingCoupling:
         a, b = (_qubit_count(q, "qubits") for q in self.qubits)
         if a == b:
             raise ValueError(f"Ising coupling needs two distinct qubits, got {self.qubits}")
-        if min(a, b) < 0:
-            raise ValueError(f"qubit indices must be >= 0, got {self.qubits}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "qubits", (a, b))
@@ -98,7 +93,11 @@ Pulse = Union[Rotation, IsingCoupling]
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulses (first applied first) over ``register_size`` qubits."""
+    """Ordered pulses (first applied first) over ``register_size`` qubits.
+
+    Every pulse target must lie in the register; the pulses themselves do not
+    check their range.
+    """
 
     pulses: tuple[Pulse, ...]
     register_size: int
@@ -108,11 +107,7 @@ class PulseSequence:
         size = _qubit_count(self.register_size, "register_size")
         object.__setattr__(self, "register_size", size)
         for p in self.pulses:
-            targets = (p.qubit,) if isinstance(p, Rotation) else p.qubits
-            if max(targets) >= self.register_size:
-                raise ValueError(
-                    f"pulse targets {targets} exceed register size {self.register_size}"
-                )
+            _check_targets("pulse", (p.qubit,) if isinstance(p, Rotation) else p.qubits, size)
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,8 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
-    r = seq.register_size
-    dim = 2**r
-    bits = (np.arange(dim) >> np.arange(r - 1, -1, -1)[:, np.newaxis]) & 1
-    signs = 1.0 - 2.0 * bits
+    dim = 2**seq.register_size
+    signs = _z_signs(seq.register_size)
     u = np.eye(dim, dtype=complex)
     for p in seq.pulses:
         if isinstance(p, Rotation):
@@ -168,8 +161,7 @@ def swap_sequence(t: int, s: int) -> PulseSequence:
     not tracked.  Each paired rotation e^{i a (sigma_t + sigma_s)} is stored
     as its two commuting single-qubit pulses.
     """
-    if t == s:
-        raise ValueError("SWAP needs two distinct qubits")
+    _check_targets("SWAP", (t, s), max(t, s) + 1)
     q = math.pi / 4
     pulses = [
         IsingCoupling(-q, (t, s)),
@@ -209,8 +201,7 @@ def three_body_sequence(phi: float, c: int, t: int, s: int) -> PulseSequence:
     exp(-i phi Z_t Z_s) coupling onto the three-body generator; the identity
     is exact (no global phase).
     """
-    if len({c, t, s}) != 3:
-        raise ValueError("three-body sequence needs three distinct qubits")
+    _check_targets("three-body", (c, t, s), max(c, t, s) + 1)
     return PulseSequence(tuple(_three_body_pulses(phi, c, t, s)), max(c, t, s) + 1)
 
 
@@ -223,8 +214,7 @@ def cswap_sequence(c: int, t: int, s: int) -> PulseSequence:
     on the pairs (c, t) and (t, s) only.  Equals the canonical gate up to a
     global phase of e^{-i pi/8}.
     """
-    if len({c, t, s}) != 3:
-        raise ValueError("c-SWAP needs three distinct qubits")
+    _check_targets("c-SWAP", (c, t, s), max(c, t, s) + 1)
     e = math.pi / 8
     pulses = []
     for p in swap_sequence(t, s).pulses:
@@ -283,28 +273,21 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
 # canonical gates (verification targets)
 
 
-def _check_gate_targets(gate: str, targets: tuple[int, ...], register_size: int) -> None:
-    """Reject repeated, negative or out-of-range targets of a canonical gate."""
-    if len(set(targets)) != len(targets) or min(targets) < 0 or max(targets) >= register_size:
-        raise ValueError(f"invalid {gate} targets {targets} for register {register_size}")
-
-
 def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
-    _check_gate_targets("SWAP", (t, s), register_size)
+    _check_targets("SWAP", (t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
-    swapped = _swap_bits(idx, t, s, register_size)
     u = np.zeros((dim, dim), dtype=complex)
-    u[swapped, idx] = 1.0
+    u[idx.reshape([2] * register_size).swapaxes(t, s).reshape(-1), idx] = 1.0
     return u
 
 
 def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
-    _check_gate_targets("c-SWAP", (c, t, s), register_size)
+    _check_targets("c-SWAP", (c, t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
-    control_on = ((idx >> (register_size - 1 - c)) & 1) == 1
-    out = np.where(control_on, _swap_bits(idx, t, s, register_size), idx)
+    swapped = idx.reshape([2] * register_size).swapaxes(t, s).reshape(-1)
+    out = np.where(_z_signs(register_size)[c] < 0, swapped, idx)
     u = np.zeros((dim, dim), dtype=complex)
     u[out, idx] = 1.0
     return u
@@ -312,18 +295,8 @@ def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
 
 def zzz_unitary(phi: float, c: int, t: int, s: int, register_size: int) -> np.ndarray:
     """exp(+i phi Z_c Z_t Z_s): diagonal phases by parity of the three bits."""
-    _check_gate_targets("three-body", (c, t, s), register_size)
-    idx = np.arange(2**register_size)
-    par = sum((idx >> (register_size - 1 - q)) & 1 for q in (c, t, s)) % 2
-    return np.diag(np.exp(1j * phi * (1.0 - 2.0 * par)))
-
-
-def _swap_bits(idx: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
-    pa, pb = width - 1 - a, width - 1 - b
-    bit_a = (idx >> pa) & 1
-    bit_b = (idx >> pb) & 1
-    diff = bit_a ^ bit_b
-    return idx ^ (diff << pa) ^ (diff << pb)
+    _check_targets("three-body", (c, t, s), register_size)
+    return np.diag(np.exp(1j * phi * _z_signs(register_size)[[c, t, s]].prod(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +358,7 @@ def load_sequence(path: str | Path) -> PulseSequence:
     holds is invalid.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = _parse_json(Path(path).read_bytes())
     except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"malformed sequence file {path}: {exc}") from exc
     return sequence_from_dict(doc)

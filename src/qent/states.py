@@ -4,6 +4,10 @@ Qubit ordering convention (global to this package): qubit 0 is the leftmost
 ket label and the most significant bit of the amplitude index, so the basis
 state |b_0 b_1 ... b_{n-1}> sits at index sum_k b_k * 2**(n-1-k).  This
 matches ``amplitudes.reshape([2] * n)`` with axis k belonging to qubit k.
+Three private helpers hold this order for the whole package: ``_z_signs``
+(the diagonal of each Z_q), ``_bits`` (basis indices to qubit bits) and
+``_subset_index`` (qubit subsets to basis indices).  ``_check_targets`` is the
+one check that the target qubits of an operation are distinct and in range.
 
 States and matrices are validated on construction and frozen afterwards
 (read-only numpy buffers); every operation returns a fresh object.  The
@@ -165,6 +169,36 @@ def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     return subset
 
 
+def _check_targets(what: str, targets: Sequence[int], n: int) -> tuple[int, ...]:
+    """The target qubits of an operation on n qubits, nonempty, distinct and in range."""
+    targets = tuple(int(t) for t in targets)
+    if len(set(targets)) != len(targets):
+        problem = "targets contain duplicates"
+    elif not targets or min(targets) < 0 or max(targets) >= n:
+        problem = f"targets must be nonempty and lie in [0, {n})"
+    else:
+        return targets
+    raise ValueError(f"{what} targets {targets} invalid for a {n}-qubit register: {problem}")
+
+
+def _z_signs(n: int) -> np.ndarray:
+    """(n, 2**n) table whose row q is the diagonal of Z_q: -1 where qubit q is 1."""
+    signs = np.ones((n, 2**n))
+    for q, row in enumerate(signs):
+        row.reshape(2**q, 2, -1)[:, 1] = -1.0
+    return signs
+
+
+def _bits(indices: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(indices), n) table of basis indices; column q is qubit q's bit."""
+    return (indices[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
+
+
+def _subset_index(subsets: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Basis index of each subset: the state with just the subset's qubits set to 1."""
+    return (1 << (n - 1 - np.array(subsets))).sum(axis=1)
+
+
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -240,12 +274,9 @@ def cluster_state(n: int) -> PureState:
     entanglement properties.  This package uses the controlled-Z form.
     """
     _check_qubit_count(n, 2, "cluster state")
-    idx = np.arange(2**n)
     amps = np.full(2**n, 2 ** (-n / 2), dtype=complex)
     for a in range(n - 1):
-        left = (idx >> (n - 1 - a)) & 1
-        right = (idx >> (n - 2 - a)) & 1
-        amps[(left & right) == 1] *= -1.0
+        amps.reshape(2**a, 2, 2, -1)[:, 1, 1] *= -1.0
     return PureState(n, amps)
 
 
@@ -278,11 +309,7 @@ def apply_unitary(state: PureState, u: np.ndarray, targets: Sequence[int]) -> Pu
     Matrix axes follow the listed target order; targets must be distinct and
     in range (any order).
     """
-    targets = [int(t) for t in targets]
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"targets {targets} contain duplicates")
-    if not targets or min(targets) < 0 or max(targets) >= state.n_qubits:
-        raise ValueError(f"targets {targets} invalid for {state.n_qubits} qubits")
+    targets = _check_targets("unitary", targets, state.n_qubits)
     u = _check_unitary(u)
     m = len(targets)
     if u.shape[0] != 2**m:

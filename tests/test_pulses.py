@@ -27,7 +27,7 @@ from qent.pulses import (
     three_body_sequence,
     zzz_unitary,
 )
-from qent.states import MalformedInput
+from qent.states import MalformedInput, apply_unitary, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -365,14 +365,56 @@ class TestInteractionTime:
             CouplingModel(g)
 
 
+def axis_gate(r, swap=None, control=None, phase=None):
+    """A canonical gate from its action on the state tensor, one axis per qubit.
+
+    Its columns are the basis states, viewed as a tensor with one axis per
+    qubit and a last axis for the column.  ``swap`` exchanges the axes of
+    two qubits, only on the slice where qubit ``control`` is 1 if one is
+    given; ``phase`` = (phi, qubits) multiplies by exp(+i phi) where the
+    bits of those qubits have even parity and by exp(-i phi) where it is odd.
+    """
+    dim = 2**r
+    tensor = np.eye(dim, dtype=complex).reshape([2] * r + [dim])
+    if swap is not None:
+        swapped = tensor.swapaxes(*swap)
+        if control is None:
+            tensor = swapped
+        else:
+            on = np.arange(2).reshape([2 if q == control else 1 for q in range(r + 1)]) == 1
+            tensor = np.where(on, swapped, tensor)
+    if phase is not None:
+        phi, qubits = phase
+        parity = sum(np.indices([2] * r)[q] for q in qubits) % 2
+        tensor = tensor * np.exp(1j * phi * (1.0 - 2.0 * parity))[..., np.newaxis]
+    return tensor.reshape(dim, dim)
+
+
 class TestCanonicalGates:
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_equal_their_axis_definitions(self, r):
+        for t, s in itertools.permutations(range(r), 2):
+            assert np.array_equal(canonical_swap(t, s, r), axis_gate(r, swap=(t, s)))
+        for c, t, s in itertools.permutations(range(r), 3):
+            assert np.array_equal(canonical_cswap(c, t, s, r),
+                                  axis_gate(r, swap=(t, s), control=c))
+            assert np.array_equal(zzz_unitary(0.3, c, t, s, r),
+                                  axis_gate(r, phase=(0.3, (c, t, s))))
+
     @pytest.mark.parametrize("targets", [(-1, 0, 1), (1, 1, 0), (0, 3, 1)],
                              ids=["negative", "repeated", "past-register"])
     @pytest.mark.parametrize("build", [
         lambda t: canonical_swap(t[0], t[1], 3),
         lambda t: canonical_cswap(*t, 3),
         lambda t: zzz_unitary(0.3, *t, 3),
-    ], ids=["swap", "cswap", "zzz"])
+        lambda t: apply_unitary(random_state(3, 0), np.eye(8), t),
+        # the constructors reject negative and repeated targets, and
+        # PulseSequence rejects targets past its register
+        lambda t: PulseSequence(swap_sequence(t[0], t[1]).pulses, 3),
+        lambda t: PulseSequence(three_body_sequence(0.3, *t).pulses, 3),
+        lambda t: PulseSequence(cswap_sequence(*t).pulses, 3),
+    ], ids=["swap", "cswap", "zzz", "apply-unitary", "swap-sequence", "three-body-sequence",
+            "cswap-sequence"])
     def test_rejects_bad_targets(self, build, targets):
         with pytest.raises(ValueError, match="invalid .*targets"):
             build(targets)
