@@ -242,8 +242,8 @@ def protocol_cmd(statefile, trials, seed, mode, subset, sweep, as_json, out):
         rows = protocol.convergence_sweep(state, counts, seed)
         _write_text(protocol.sweep_csv(rows), out)
         return
-    if trials is None or trials < 1:
-        raise ValueError(f"--trials must be a positive integer, got {trials}")
+    if trials is None:
+        raise ValueError("--trials must be a positive integer, got None")
     mode_name = protocol.MODE_EXACT_MARGINAL if mode == "exact" else protocol.MODE_FULL_JOINT
     run = protocol.ProtocolRun(state, trials, seed, mode_name)
     doc = protocol.run_report(run, state_ref=statefile)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, check_subset, subset_purities
+from .states import PureState, _check_targets, check_subset, subset_purities
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
@@ -69,8 +69,7 @@ def split_on_qubit(state: PureState, k: int) -> ProjectionSplit:
     """Split |psi> = |0>_k (x) u~ + |1>_k (x) v~ (remaining qubits keep order)."""
     if state.n_qubits < 2:
         raise ValueError("projection split needs at least 2 qubits")
-    if not 0 <= k < state.n_qubits:
-        raise ValueError(f"qubit index {k} out of range for {state.n_qubits} qubits")
+    (k,) = _check_targets("projection split", (k,), state.n_qubits)
     t = np.moveaxis(state.tensor(), k, 0)
     return ProjectionSplit(k, t[0].reshape(-1).copy(), t[1].reshape(-1).copy())
 

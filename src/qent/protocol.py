@@ -33,8 +33,8 @@ n(n+1)/2 binomial draws in exact-marginal mode, one multinomial over the
 2^n ancilla patterns in full-joint mode.  Time and memory are flat in the
 trial count.  ``sample_outcomes`` draws the full (trials x n) stream in
 one draw, as the per-trial oracle; no estimator calls it.  Every trial
-consumes fresh copies of the state;
-register reuse (and the depolarize-and-reset it would need) is not modeled.
+consumes fresh copies of the state; register reuse (and the
+depolarize-and-reset it would need) is not modeled.
 """
 
 from __future__ import annotations
@@ -106,9 +106,11 @@ class ProtocolRun:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # the tally draws take int64 counts; a fraction would be truncated
-        if isinstance(self.n_trials, bool) or not isinstance(self.n_trials, numbers.Integral):
-            raise ValueError(f"n_trials must be an integer, got {self.n_trials!r}")
+        # the tally draws take int64 counts and an integer seed; a fraction would fail in them
+        for field in ("n_trials", "seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials > MAX_TRIALS:
@@ -207,10 +209,9 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     exact-marginal mode draws each ancilla independently from its exact
     p(-); full-joint mode samples the joint ancilla distribution that
     ``tally_outcomes`` reads, preserving inter-qubit outcome correlations.
-    The array grows with n_trials.  It is
-    the per-trial oracle of ``tally_outcomes``, whose tally has the same
-    distribution as this stream's counts but is drawn without it; no
-    estimator calls it.
+    The array grows with n_trials.  It is the per-trial oracle of
+    ``tally_outcomes``, whose tally has the same distribution as this
+    stream's counts but is drawn without it; no estimator calls it.
     """
     n = run.state.n_qubits
     rng = np.random.default_rng(run.seed)

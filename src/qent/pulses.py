@@ -19,10 +19,10 @@ pulse and is kept.
 
 Matrix realization: ``sequence_unitary`` applies each pulse to the running
 product in place of a dense pulse matrix, O(4^r) per pulse on r qubits.  A
-coupling is a phase vector, exp(i angle z_a z_b) with z_q the +-1 sign of
-qubit q on each basis state, multiplied into the rows; a rotation is one
-2x2 step, cos(angle) I + i sin(angle) sigma applied to the product viewed
-as (2^q, 2, rest).
+coupling on (a, b), a < b, multiplies the product viewed as (2^a, 2,
+2^(b-a-1), 2, rest) in place by exp(+i angle) where the two qubit axes agree
+and exp(-i angle) where they differ; a rotation is one 2x2 step,
+cos(angle) I + i sin(angle) sigma on the product viewed as (2^q, 2, rest).
 
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
@@ -37,7 +37,6 @@ c-SWAP sequence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .states import MalformedInput, _check_targets, _parse_json, _qubit_count, _z_signs
+from .states import MalformedInput, _bits, _check_targets, _encode_json, _parse_json, _qubit_count
 
 AXES = ("x", "y", "z")
 _PAULI = {
@@ -54,6 +53,8 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _IDENTITY = np.eye(2, dtype=complex)
+# Z_a Z_b on the qubit axes of the (2^a, 2, 2^(b-a-1), 2, rest) view of a product
+_ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -127,26 +128,17 @@ class CouplingModel:
 
 
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:
-    """Ordered product of the pulse unitaries (first pulse rightmost).
-
-    A coupling on (a, b) is diagonal: it multiplies row i of the running
-    product by exp(i angle z_a[i] z_b[i]), where z_q is the +-1 sign vector
-    of qubit q over the basis.  A rotation on qubit q applies its 2x2 matrix
-    to the product viewed as (2^q, 2, rest).  Both are O(4**register_size)
-    per pulse.
-    """
+    """Ordered product of the pulse unitaries (first pulse rightmost); see "Matrix realization"."""
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
-    dim = 2**seq.register_size
-    signs = _z_signs(seq.register_size)
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(2**seq.register_size, dtype=complex)
     for p in seq.pulses:
         if isinstance(p, Rotation):
             local = math.cos(p.angle) * _IDENTITY + 1j * math.sin(p.angle) * _PAULI[p.axis]
-            u = np.matmul(local, u.reshape(2**p.qubit, 2, -1)).reshape(dim, dim)
+            u = np.matmul(local, u.reshape(2**p.qubit, 2, -1)).reshape(u.shape)
         else:
-            a, b = p.qubits
-            u *= np.exp(1j * p.angle * (signs[a] * signs[b]))[:, np.newaxis]
+            a, b = sorted(p.qubits)
+            u.reshape(2**a, 2, 2 ** (b - a - 1), 2, -1)[...] *= np.exp(1j * p.angle * _ZZ)
     return u
 
 
@@ -161,9 +153,13 @@ def swap_sequence(t: int, s: int) -> PulseSequence:
     not tracked.  Each paired rotation e^{i a (sigma_t + sigma_s)} is stored
     as its two commuting single-qubit pulses.
     """
-    _check_targets("SWAP", (t, s), max(t, s) + 1)
+    t, s = _check_targets("SWAP", (t, s))
+    return PulseSequence(tuple(_swap_pulses(t, s)), max(t, s) + 1)
+
+
+def _swap_pulses(t: int, s: int) -> list[Pulse]:
     q = math.pi / 4
-    pulses = [
+    return [
         IsingCoupling(-q, (t, s)),
         Rotation("x", -q, t), Rotation("x", -q, s),
         IsingCoupling(-q, (t, s)),
@@ -172,7 +168,6 @@ def swap_sequence(t: int, s: int) -> PulseSequence:
         IsingCoupling(-q, (t, s)),
         Rotation("y", q, t), Rotation("y", q, s),
     ]
-    return PulseSequence(tuple(pulses), max(t, s) + 1)
 
 
 def _three_body_pulses(phi: float, c: int, t: int, s: int) -> list[Pulse]:
@@ -201,23 +196,23 @@ def three_body_sequence(phi: float, c: int, t: int, s: int) -> PulseSequence:
     exp(-i phi Z_t Z_s) coupling onto the three-body generator; the identity
     is exact (no global phase).
     """
-    _check_targets("three-body", (c, t, s), max(c, t, s) + 1)
+    c, t, s = _check_targets("three-body", (c, t, s))
     return PulseSequence(tuple(_three_body_pulses(phi, c, t, s)), max(c, t, s) + 1)
 
 
 def cswap_sequence(c: int, t: int, s: int) -> PulseSequence:
     """Controlled-SWAP (control c) with three-body factors expanded inline.
 
-    Each Ising coupling of ``swap_sequence(t, s)`` is replaced by its
+    Each Ising coupling of the SWAP sequence on (t, s) is replaced by its
     controlled counterpart e^{-i pi/8 Z_t Z_s} e^{+i pi/8 Z_c Z_t Z_s}, and a
     z pulse on the control supplies the conditional phase.  All couplings act
     on the pairs (c, t) and (t, s) only.  Equals the canonical gate up to a
     global phase of e^{-i pi/8}.
     """
-    _check_targets("c-SWAP", (c, t, s), max(c, t, s) + 1)
+    c, t, s = _check_targets("c-SWAP", (c, t, s))
     e = math.pi / 8
     pulses = []
-    for p in swap_sequence(t, s).pulses:
+    for p in _swap_pulses(t, s):
         if isinstance(p, IsingCoupling):
             pulses += [*_three_body_pulses(e, c, t, s), IsingCoupling(-e, (t, s))]
         else:
@@ -274,7 +269,7 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
-    _check_targets("SWAP", (t, s), register_size)
+    t, s = _check_targets("SWAP", (t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     u = np.zeros((dim, dim), dtype=complex)
@@ -283,11 +278,11 @@ def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
 
 
 def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
-    _check_targets("c-SWAP", (c, t, s), register_size)
+    c, t, s = _check_targets("c-SWAP", (c, t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     swapped = idx.reshape([2] * register_size).swapaxes(t, s).reshape(-1)
-    out = np.where(_z_signs(register_size)[c] < 0, swapped, idx)
+    out = np.where(_bits(idx, register_size)[:, c], swapped, idx)
     u = np.zeros((dim, dim), dtype=complex)
     u[out, idx] = 1.0
     return u
@@ -295,8 +290,9 @@ def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
 
 def zzz_unitary(phi: float, c: int, t: int, s: int, register_size: int) -> np.ndarray:
     """exp(+i phi Z_c Z_t Z_s): diagonal phases by parity of the three bits."""
-    _check_targets("three-body", (c, t, s), register_size)
-    return np.diag(np.exp(1j * phi * _z_signs(register_size)[[c, t, s]].prod(axis=0)))
+    cols = list(_check_targets("three-body", (c, t, s), register_size))
+    odd = np.logical_xor.reduce(_bits(np.arange(2**register_size), register_size)[:, cols], axis=1)
+    return np.diag(np.exp(1j * phi * np.where(odd, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
 
 
 def save_sequence(seq: PulseSequence, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(sequence_to_dict(seq)) + "\n")
+    Path(path).write_bytes(_encode_json(sequence_to_dict(seq)))
 
 
 def load_sequence(path: str | Path) -> PulseSequence:

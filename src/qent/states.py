@@ -4,10 +4,10 @@ Qubit ordering convention (global to this package): qubit 0 is the leftmost
 ket label and the most significant bit of the amplitude index, so the basis
 state |b_0 b_1 ... b_{n-1}> sits at index sum_k b_k * 2**(n-1-k).  This
 matches ``amplitudes.reshape([2] * n)`` with axis k belonging to qubit k.
-Three private helpers hold this order for the whole package: ``_z_signs``
-(the diagonal of each Z_q), ``_bits`` (basis indices to qubit bits) and
-``_subset_index`` (qubit subsets to basis indices).  ``_check_targets`` is the
-one check that the target qubits of an operation are distinct and in range.
+Two private helpers hold this order for the whole package: ``_bits`` (basis
+indices to qubit bits) and ``_subset_index`` (qubit subsets to basis
+indices).  ``_qubit_count`` is the one integer rule for qubit indices and
+counts, and ``_check_targets`` the one check that targets are distinct and in range.
 
 States and matrices are validated on construction and frozen afterwards
 (read-only numpy buffers); every operation returns a fresh object.  The
@@ -79,7 +79,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits, 1, "state")
+        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits, 1, "state"))
         amps = _frozen_complex_array(self.amplitudes, -1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(
@@ -157,21 +157,32 @@ def _which(i: int, k: int) -> str:
     return "matrix" if k == 1 else f"matrix {i} of the stack"
 
 
+def _qubit_count(value, field: str = "n_qubits") -> int:
+    """A qubit index or count as an int, from an int, a numpy integer or an integral float only."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, np.integer, np.floating)) and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
-    """Validate a qubit subset: nonempty, strictly increasing, in range."""
-    subset = tuple(int(i) for i in indices)
-    if not subset:
-        raise ValueError("qubit subset must be nonempty")
+    """Validate a qubit subset: the targets of ``_check_targets``, strictly increasing."""
+    subset = _check_targets("qubit subset", indices, n_qubits)
     if any(b <= a for a, b in zip(subset, subset[1:])):
         raise ValueError(f"qubit subset {subset} must be strictly increasing")
-    if subset[0] < 0 or subset[-1] >= n_qubits:
-        raise ValueError(f"qubit subset {subset} out of range for {n_qubits} qubits")
     return subset
 
 
-def _check_targets(what: str, targets: Sequence[int], n: int) -> tuple[int, ...]:
-    """The target qubits of an operation on n qubits, nonempty, distinct and in range."""
-    targets = tuple(int(t) for t in targets)
+def _check_targets(what: str, targets: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    """The target qubits of an operation on n qubits as ints, nonempty, distinct and in range.
+
+    Without n the register is the smallest that holds the targets.
+    """
+    field = what + " target"
+    targets = tuple([_qubit_count(t, field) for t in targets])
+    if n is None:
+        n = max(targets, default=-1) + 1
     if len(set(targets)) != len(targets):
         problem = "targets contain duplicates"
     elif not targets or min(targets) < 0 or max(targets) >= n:
@@ -179,14 +190,6 @@ def _check_targets(what: str, targets: Sequence[int], n: int) -> tuple[int, ...]
     else:
         return targets
     raise ValueError(f"{what} targets {targets} invalid for a {n}-qubit register: {problem}")
-
-
-def _z_signs(n: int) -> np.ndarray:
-    """(n, 2**n) table whose row q is the diagonal of Z_q: -1 where qubit q is 1."""
-    signs = np.ones((n, 2**n))
-    for q, row in enumerate(signs):
-        row.reshape(2**q, 2, -1)[:, 1] = -1.0
-    return signs
 
 
 def _bits(indices: np.ndarray, n: int) -> np.ndarray:
@@ -213,8 +216,9 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # state factories
 
 
-def _check_qubit_count(n: int, minimum: int, family: str) -> None:
-    """Reject n outside [minimum, MAX_QUBITS]; states and factories call it before allocating."""
+def _check_qubit_count(n: int, minimum: int, family: str) -> int:
+    """n as an int in [minimum, MAX_QUBITS]; states and factories call it before allocating."""
+    n = _qubit_count(n, f"{family} qubit count")
     if n < minimum:
         raise ValueError(f"{family} needs n >= {minimum} qubits, got {n}")
     if n > MAX_QUBITS:
@@ -222,6 +226,7 @@ def _check_qubit_count(n: int, minimum: int, family: str) -> None:
             f"{family} with {n} qubits exceeds the cap of MAX_QUBITS = {MAX_QUBITS} "
             f"(its amplitude vector alone would take 2**{n + 4} bytes)"
         )
+    return n
 
 
 def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
@@ -250,7 +255,7 @@ def product_state(factors: Iterable[Sequence[complex]]) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    _check_qubit_count(n, 2, "GHZ state")
+    n = _check_qubit_count(n, 2, "GHZ state")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return PureState(n, amps)
@@ -258,7 +263,7 @@ def ghz_state(n: int) -> PureState:
 
 def w_state(n: int) -> PureState:
     """Equal superposition of the n one-hot basis states."""
-    _check_qubit_count(n, 2, "W state")
+    n = _check_qubit_count(n, 2, "W state")
     amps = np.zeros(2**n, dtype=complex)
     amps[[2**k for k in range(n)]] = 1 / np.sqrt(n)
     return PureState(n, amps)
@@ -273,7 +278,7 @@ def cluster_state(n: int) -> PureState:
     qubits 1..n-1; the two differ by that local unitary and share all
     entanglement properties.  This package uses the controlled-Z form.
     """
-    _check_qubit_count(n, 2, "cluster state")
+    n = _check_qubit_count(n, 2, "cluster state")
     amps = np.full(2**n, 2 ** (-n / 2), dtype=complex)
     for a in range(n - 1):
         amps.reshape(2**a, 2, 2, -1)[:, 1, 1] *= -1.0
@@ -282,7 +287,7 @@ def cluster_state(n: int) -> PureState:
 
 def random_state(n: int, rng: np.random.Generator | int | None = None) -> PureState:
     """Haar-like random state: rotation-invariant complex Gaussian, normalized."""
-    _check_qubit_count(n, 1, "random state")
+    n = _check_qubit_count(n, 1, "random state")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     z = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
     return PureState(n, z / np.sqrt(_norm2(z)))
@@ -290,7 +295,7 @@ def random_state(n: int, rng: np.random.Generator | int | None = None) -> PureSt
 
 def random_product_state(n: int, rng: np.random.Generator | int | None = None) -> PureState:
     """Product of independent random single-qubit states."""
-    _check_qubit_count(n, 1, "random product state")
+    n = _check_qubit_count(n, 1, "random product state")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     factors = []
     for _ in range(n):
@@ -415,19 +420,17 @@ def inner_product(a: PureState, b: PureState) -> complex:
 # state file format: {"n_qubits": n, "amplitudes": [[re, im], ...]}
 
 
-def _qubit_count(value, field: str = "n_qubits") -> int:
-    """An integer count or index field, such as n_qubits; a bool, a string or a fraction is malformed."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _encode_json(doc) -> bytes:
+    """Compact JSON and one newline, floats in shortest round-trip form: every file's encoder."""
+    import orjson
+
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
 
 
 def encode_state(state: PureState) -> bytes:
-    """The state-file bytes of ``state``: compact JSON, floats in shortest round-trip form."""
-    import orjson
-
-    doc = {"n_qubits": state.n_qubits, "amplitudes": state.amplitudes.view(float).reshape(-1, 2)}
-    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    """The state-file bytes of ``state``."""
+    amps = state.amplitudes.view(float).reshape(-1, 2)
+    return _encode_json({"n_qubits": state.n_qubits, "amplitudes": amps})
 
 
 def _bracket_depth(data: bytes) -> int:

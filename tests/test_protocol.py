@@ -459,6 +459,11 @@ class TestTallyDistribution:
             ProtocolRun(ghz_state(2), n_trials, 0)
         assert ProtocolRun(ghz_state(2), np.int64(3), 0).n_trials == 3
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ProtocolRun(ghz_state(2), 10, seed)
+
 
 class TestSubsetPurity:
     def test_bell_bell_subset_is_pure(self):

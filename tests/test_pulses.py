@@ -27,7 +27,7 @@ from qent.pulses import (
     three_body_sequence,
     zzz_unitary,
 )
-from qent.states import MalformedInput, apply_unitary, random_state
+from qent.states import MalformedInput, _encode_json, apply_unitary, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -449,6 +449,13 @@ class TestSequenceFiles:
         loaded = load_sequence(path)
         assert loaded == seq
         assert phase_aligned_deviation(sequence_unitary(seq), sequence_unitary(loaded)) < 1e-15
+
+    def test_file_is_the_shared_compact_encoding(self, tmp_path):
+        seq = cswap_sequence(2, 0, 4)
+        path = tmp_path / "seq.json"
+        save_sequence(seq, path)
+        assert path.read_bytes() == _encode_json(sequence_to_dict(seq))
+        assert path.read_bytes().endswith(b"}\n") and b", " not in path.read_bytes()
 
     def test_rejects_malformed(self, tmp_path):
         with pytest.raises(ValueError, match="unknown pulse kind"):

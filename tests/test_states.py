@@ -280,7 +280,7 @@ class TestReducedDensity:
 
     def test_rejects_invalid_subsets(self, rng):
         state = random_state(3, rng)
-        for bad in ([], [3], [-1], [1, 1], [2, 0]):
+        for bad in ([], [3], [-1], [1, 1], [2, 0], [0.5], [True], ["1"]):
             with pytest.raises(ValueError):
                 reduced_density(state, bad)
 
