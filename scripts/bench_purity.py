@@ -11,11 +11,14 @@ and takes the tracemalloc peak of one call of each.  For each n in
 2..--max-joint-n it does the same for a full-joint tally_outcomes run of
 1000 trials, whose cost is that of the joint ancilla distribution; an n the
 checkout's ProtocolRun rejects is recorded with the error and ends that
-sweep.  --save writes the per-qubit p(-) vectors to an .npz file;
---reference reads such a file and records the largest difference from it
-for every n, so a second checkout can be checked for the same output.  The
-labelled section (with the command, interpreter, numpy version and host) is
-merged into --out, keeping the other sections.
+sweep.  A state remembers the purities computed on it, so each timed call
+gets a fresh copy of the state, built outside the timed region; the
+``_repeat`` columns time a second call on one state, which reads them back.
+--save writes the per-qubit p(-) vectors to an .npz file; --reference reads
+such a file and records the largest difference from it for every n, so a
+second checkout can be checked for the same output.  The labelled section
+(with the command, interpreter, numpy version and host) is merged into
+--out, keeping the other sections.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 import sweep
-from qent import ProtocolRun, minus_probabilities, q_purity, random_state, tally_outcomes
+from qent import (
+    ProtocolRun,
+    PureState,
+    minus_probabilities,
+    q_purity,
+    random_state,
+    tally_outcomes,
+)
 from qent.protocol import MODE_FULL_JOINT
 
 MIN_N = 4
@@ -38,13 +48,25 @@ def _repeats(n: int) -> int:
     return 21 if n <= 12 else (7 if n <= 16 else 3)
 
 
+def _fresh(state: PureState):
+    """A setup for sweep.timed: a new copy of ``state``, with nothing remembered."""
+    return lambda: PureState(state.n_qubits, state.amplitudes)
+
+
+def _timed_fresh_and_repeat(row: dict, name: str, fn, make, repeats: int) -> None:
+    """Time ``fn`` on fresh inputs as ``name``, and on one reused input as ``name``_repeat."""
+    row[name] = sweep.timed(fn, repeats, peak="mib", setup=make)
+    warm = make()
+    fn(warm)
+    row[f"{name}_repeat"] = sweep.timed(lambda: fn(warm), repeats)
+
+
 def _purity_row(n: int, reference) -> tuple[dict, np.ndarray]:
     state = random_state(n, n)
-    row = {"n": n,
-           "q_purity": sweep.timed(lambda: q_purity(state), _repeats(n), peak="mib"),
-           "minus_probabilities": sweep.timed(lambda: minus_probabilities(state), _repeats(n),
-                                              peak="mib")}
-    p_minus = minus_probabilities(state)
+    row = {"n": n}
+    for name, fn in (("q_purity", q_purity), ("minus_probabilities", minus_probabilities)):
+        _timed_fresh_and_repeat(row, name, fn, _fresh(state), _repeats(n))
+    p_minus = minus_probabilities(_fresh(state)())
     if reference is not None:
         row["max_abs_diff_vs_reference"] = float(np.max(np.abs(p_minus - reference[f"n{n}"])))
     return row, p_minus
@@ -53,11 +75,15 @@ def _purity_row(n: int, reference) -> tuple[dict, np.ndarray]:
 def _joint_row(n: int) -> dict:
     state = random_state(n, 100 + n)
     try:
-        run = ProtocolRun(state, JOINT_TRIALS, 0, MODE_FULL_JOINT)
+        ProtocolRun(state, JOINT_TRIALS, 0, MODE_FULL_JOINT)
     except ValueError as exc:
         return {"n": n, "error": str(exc)}
-    return {"n": n, "tally_outcomes": sweep.timed(lambda: tally_outcomes(run), 11 if n <= 8 else 3,
-                                                  peak="mib")}
+    row = {"n": n}
+    copy = _fresh(state)
+    _timed_fresh_and_repeat(row, "tally_outcomes", tally_outcomes,
+                            lambda: ProtocolRun(copy(), JOINT_TRIALS, 0, MODE_FULL_JOINT),
+                            11 if n <= 8 else 3)
+    return row
 
 
 def main() -> None:
@@ -77,8 +103,10 @@ def main() -> None:
     for n in range(MIN_N, args.max_n + 1):
         row, saved[f"n{n}"] = _purity_row(n, reference)
         purity_rows.append(row)
-        print(f"n={n:2d}  q_purity {row['q_purity']['median_s'] * 1e3:9.3f} ms  "
-              f"minus_probabilities {row['minus_probabilities']['median_s'] * 1e3:9.3f} ms  "
+        print(f"n={n:2d}  q_purity {row['q_purity']['median_s'] * 1e3:9.3f} ms "
+              f"(repeat {row['q_purity_repeat']['median_s'] * 1e3:7.3f})  "
+              f"minus_probabilities {row['minus_probabilities']['median_s'] * 1e3:9.3f} ms "
+              f"(repeat {row['minus_probabilities_repeat']['median_s'] * 1e3:7.3f})  "
               f"diff vs reference {row.get('max_abs_diff_vs_reference', '-')}", flush=True)
     if args.save:
         np.savez(args.save, **saved)
@@ -90,6 +118,7 @@ def main() -> None:
             print(f"joint n={n:2d}  rejected: {row['error']}", flush=True)
             break
         print(f"joint n={n:2d}  tally_outcomes {row['tally_outcomes']['median_s'] * 1e3:9.3f} ms"
+              f" (repeat {row['tally_outcomes_repeat']['median_s'] * 1e3:7.3f})"
               f"  peak {row['tally_outcomes']['tracemalloc_peak_mib']:.2f} MiB", flush=True)
 
     command = f"PYTHONPATH=src python3 scripts/bench_purity.py --label {args.label}"

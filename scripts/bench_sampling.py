@@ -6,7 +6,10 @@ Run from the root of the checkout to measure:
 
 For each (n, mode) in POINTS and each trial count from 10^4 up to
 --max-trials (powers of ten), it times run_report on a seeded random n-qubit
-state, then takes the tracemalloc peak of one more call.  Full-joint mode
+state, then takes the tracemalloc peak of one more call.  A state remembers
+the purities computed on it, so each timed call gets a run on a fresh copy
+of the state, built outside the timed region; the ``repeat_`` columns time
+run_report again on one run, which reads the purities back.  Full-joint mode
 reads the 2^n subset-purity table and accepts n up to JOINT_MODE_MAX_QUBITS
 = 12.  POINTS keeps its one point at n = 4, the cap when full-joint mode
 simulated 3n qubits, so that every section of BENCH_sampling.json has the
@@ -21,7 +24,7 @@ from __future__ import annotations
 import argparse
 
 import sweep
-from qent import ProtocolRun, random_state
+from qent import ProtocolRun, PureState, random_state
 from qent.protocol import run_report
 
 SEED = 20240817
@@ -34,10 +37,17 @@ def _repeats(trials: int) -> int:
 
 
 def _row(n: int, mode: str, trials: int) -> dict:
-    run = ProtocolRun(random_state(n, SEED), trials, SEED + trials, mode)
+    state = random_state(n, SEED)
+
+    def fresh_run():
+        return ProtocolRun(PureState(n, state.amplitudes), trials, SEED + trials, mode)
+
+    run = fresh_run()
     run_report(run)  # warm-up
+    repeat = sweep.timed(lambda: run_report(run), _repeats(trials))
     return {"n": n, "mode": mode, "trials": trials,
-            **sweep.timed(lambda: run_report(run), _repeats(trials), peak="bytes")}
+            **sweep.timed(run_report, _repeats(trials), peak="bytes", setup=fresh_run),
+            **{f"repeat_{key}": value for key, value in repeat.items() if key != "calls"}}
 
 
 def main() -> None:
@@ -62,7 +72,8 @@ def main() -> None:
 
     for row in rows:
         print(f"n={row['n']:2d} {row['mode']:14s} trials={row['trials']:>9d}  "
-              f"median {row['median_s'] * 1e3:9.2f} ms  "
+              f"median {row['median_s'] * 1e3:9.2f} ms "
+              f"(repeat {row['repeat_median_s'] * 1e3:7.2f})  "
               f"peak {row['tracemalloc_peak_bytes'] / 2**20:8.2f} MiB")
 
 

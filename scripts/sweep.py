@@ -19,23 +19,30 @@ from pathlib import Path
 import numpy as np
 
 
-def timed(fn, repeats: int, peak: str | None = None) -> dict:
+def timed(fn, repeats: int, peak: str | None = None, setup=None) -> dict:
     """Call count, median and minimum wall time of ``repeats`` calls of ``fn``.
 
+    With ``setup``, each call is ``fn(setup())`` and only ``fn`` is timed,
+    so that every call can get fresh inputs, such as a new copy of a state
+    whose purities the state would otherwise remember from the call before.
     With ``peak`` set to "bytes" or "mib", one more call runs under
     tracemalloc and its peak is added as ``tracemalloc_peak_<peak>``;
     tracemalloc sees only what goes through Python's allocator.
     """
+    make = setup or (lambda: None)
+    call = fn if setup else lambda _: fn()
     times = []
     for _ in range(repeats):
+        arg = make()
         start = time.perf_counter()
-        fn()
+        call(arg)
         times.append(time.perf_counter() - start)
     row = {"calls": repeats, "median_s": statistics.median(times), "min_s": min(times)}
     if peak is not None:
+        arg = make()
         tracemalloc.start()
         try:
-            fn()
+            call(arg)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,6 +21,9 @@ from the table of all 2^n of them by the swap-trick identity
 
 an n-axis Walsh-Hadamard transform (Ekert et al., PRL 88, 217901 (2002)).
 Full-joint mode is capped at n = 12, where the table takes about 0.5 s.
+``subset_purities`` remembers the purities it computes on each state, so the
+exact Q, the sampled runs and ``subset_purity_exact`` on one state object
+compute each subset once between them.
 ``joint_outcome_distribution`` and ``subset_purity_circuit`` simulate the
 3n-qubit and (|S| + 2n)-qubit circuits instead and serve only as oracles.
 

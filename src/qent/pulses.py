@@ -23,6 +23,11 @@ coupling on (a, b), a < b, multiplies the product viewed as (2^a, 2,
 2^(b-a-1), 2, rest) in place by exp(+i angle) where the two qubit axes agree
 and exp(-i angle) where they differ; a rotation is one 2x2 step,
 cos(angle) I + i sin(angle) sigma on the product viewed as (2^q, 2, rest).
+Every dense unitary built here, the product and the canonical gates, is
+refused above ``UNITARY_MAX_QUBITS`` = 13 qubits before it is allocated;
+a ``PulseSequence`` itself may span any register.  Pulse angles and the
+coupling strength must be real numbers: a bool, string, None or complex
+value raises ValueError.
 
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
@@ -38,6 +43,7 @@ c-SWAP sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -55,6 +61,29 @@ _PAULI = {
 _IDENTITY = np.eye(2, dtype=complex)
 # Z_a Z_b on the qubit axes of the (2^a, 2, 2^(b-a-1), 2, rest) view of a product
 _ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 2, 1)
+# largest register of a dense unitary: one 2^13 x 2^13 complex matrix is 1 GiB,
+# as is the amplitude vector at states.MAX_QUBITS
+UNITARY_MAX_QUBITS = 13
+
+
+def _real(value, what: str):
+    """``value`` if it is a real number; a bool, str, None or complex raises ValueError."""
+    # plain floats first: a library session builds dozens of pulses
+    if type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    ):
+        return value
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+def _check_unitary_size(register_size: int, what: str) -> None:
+    """Refuse a dense unitary above UNITARY_MAX_QUBITS before allocating it."""
+    if register_size > UNITARY_MAX_QUBITS:
+        raise ValueError(
+            f"{what} on {register_size} qubits exceeds the cap of UNITARY_MAX_QUBITS = "
+            f"{UNITARY_MAX_QUBITS} (its dense matrix alone would take 2**{2 * register_size + 4} "
+            f"bytes)"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,7 +97,7 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not math.isfinite(self.angle):
+        if not math.isfinite(_real(self.angle, "angle")):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "qubit", _qubit_count(self.qubit, "qubit"))
 
@@ -84,7 +113,7 @@ class IsingCoupling:
         a, b = (_qubit_count(q, "qubits") for q in self.qubits)
         if a == b:
             raise ValueError(f"Ising coupling needs two distinct qubits, got {self.qubits}")
-        if not math.isfinite(self.angle):
+        if not math.isfinite(_real(self.angle, "angle")):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "qubits", (a, b))
 
@@ -119,7 +148,8 @@ class CouplingModel:
     sign_tunable: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g > 0):
+        g = _real(self.g, "coupling strength g")
+        if not (math.isfinite(g) and g > 0):
             raise ValueError(f"coupling strength g must be finite and > 0, got {self.g}")
 
 
@@ -131,6 +161,7 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Ordered product of the pulse unitaries (first pulse rightmost); see "Matrix realization"."""
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
+    _check_unitary_size(seq.register_size, "sequence unitary")
     u = np.eye(2**seq.register_size, dtype=complex)
     for p in seq.pulses:
         if isinstance(p, Rotation):
@@ -270,6 +301,7 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
 
 def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
     t, s = _check_targets("SWAP", (t, s), register_size)
+    _check_unitary_size(register_size, "canonical SWAP")
     dim = 2**register_size
     idx = np.arange(dim)
     u = np.zeros((dim, dim), dtype=complex)
@@ -279,6 +311,7 @@ def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
 
 def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
     c, t, s = _check_targets("c-SWAP", (c, t, s), register_size)
+    _check_unitary_size(register_size, "canonical c-SWAP")
     dim = 2**register_size
     idx = np.arange(dim)
     swapped = idx.reshape([2] * register_size).swapaxes(t, s).reshape(-1)
@@ -291,6 +324,7 @@ def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
 def zzz_unitary(phi: float, c: int, t: int, s: int, register_size: int) -> np.ndarray:
     """exp(+i phi Z_c Z_t Z_s): diagonal phases by parity of the three bits."""
     cols = list(_check_targets("three-body", (c, t, s), register_size))
+    _check_unitary_size(register_size, "three-body unitary")
     odd = np.logical_xor.reduce(_bits(np.arange(2**register_size), register_size)[:, cols], axis=1)
     return np.diag(np.exp(1j * phi * np.where(odd, -1.0, 1.0)))
 

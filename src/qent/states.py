@@ -12,7 +12,10 @@ counts, and ``_check_targets`` the one check that targets are distinct and in ra
 States and matrices are validated on construction and frozen afterwards
 (read-only numpy buffers); every operation returns a fresh object.  The
 tolerance checks are written as ``not deviation <= tol`` so that a NaN
-entry fails them.
+entry fails them.  Because a state's amplitudes never change, each
+``PureState`` keeps a private memo of the subset purities computed on it:
+``subset_purities`` computes a subset once per state object, and every
+later request for it, from any route, is a lookup.
 
 This module is the only one that knows the state-file format,
 ``{"n_qubits": n, "amplitudes": [[re, im], ...]}``.  Files are written
@@ -73,7 +76,11 @@ def _frozen_complex_array(data, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over ``n_qubits`` qubits."""
+    """Normalized complex amplitude vector over ``n_qubits`` qubits.
+
+    ``_purities``, set here and not a field, is the memo of ``subset_purities``:
+    subset tuple to Tr[rho_S^2].
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -90,6 +97,7 @@ class PureState:
         if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise ValueError(f"state squared norm {norm2!r} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_purities", {})
 
     @property
     def dim(self) -> int:
@@ -339,13 +347,20 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Tr[rho_S^2] for each of several same-size qubit subsets S.
+    """Tr[rho_S^2] for each of several same-size qubit subsets S, in the order given.
 
-    The reduced density matrices are built as one (k, d, d) stack, run through
-    the checks ``DensityMatrix`` applies, and reduced to their purities.
-    Single qubits are read from strided views of the amplitudes; larger
-    subsets are taken in chunks so that the stack's working memory stays
-    near ``_STACK_BYTES`` whatever their number.
+    Every subset is checked on every call, but only those not yet in the
+    state's memo are computed, each once however often it is listed.  Their
+    reduced density matrices are built as one (k, d, d) stack, run through
+    the checks ``DensityMatrix`` applies, and reduced to their purities; the
+    memo takes them only once the whole stack has passed, so a call that
+    raises stores nothing.  Single qubits are read from strided views of the
+    amplitudes; larger subsets are taken in chunks so that the stack's
+    working memory stays near ``_STACK_BYTES`` whatever their number.  A
+    purity does not depend on the stack it was computed in, so the memo
+    returns the same bits as a fresh computation, and two threads that race
+    on one state at worst compute a subset twice and store the same float.
+    The result is a fresh array.
     """
     n = state.n_qubits
     subsets = [check_subset(s, n) for s in subsets]
@@ -355,19 +370,21 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
     if any(len(s) != m for s in subsets):
         sizes = sorted({len(s) for s in subsets})
         raise ValueError(f"subsets must all have one size, got sizes {sizes}")
-    if m == 1:
-        stacks = [_qubit_stack(state, [s[0] for s in subsets])]
-    else:
-        chunk = max(1, _STACK_BYTES // (2 * state.amplitudes.nbytes))
-        stacks = (
-            _gram_stack(state, subsets[i : i + chunk]) for i in range(0, len(subsets), chunk)
-        )
-    purities = []
-    for rho in stacks:
-        _check_density_stack(rho)
-        # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2
-        purities.append((np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1))
-    return np.concatenate(purities)
+    memo = state._purities
+    new = [s for s in dict.fromkeys(subsets) if s not in memo]
+    if new:
+        if m == 1:
+            stacks = [_qubit_stack(state, [s[0] for s in new])]
+        else:
+            chunk = max(1, _STACK_BYTES // (2 * state.amplitudes.nbytes))
+            stacks = (_gram_stack(state, new[i : i + chunk]) for i in range(0, len(new), chunk))
+        purities = []
+        for rho in stacks:
+            _check_density_stack(rho)
+            # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2
+            purities.append((np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1))
+        memo.update(zip(new, np.concatenate(purities).tolist()))
+    return np.array([memo[s] for s in subsets])
 
 
 def _gram_stack(state: PureState, subsets: list[tuple[int, ...]]) -> np.ndarray:

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from qent.pulses import (
     AXES,
+    UNITARY_MAX_QUBITS,
     CouplingModel,
     IsingCoupling,
     PulseSequence,
@@ -418,6 +419,23 @@ class TestCanonicalGates:
     def test_rejects_bad_targets(self, build, targets):
         with pytest.raises(ValueError, match="invalid .*targets"):
             build(targets)
+
+
+class TestUnitaryCap:
+    # only the error path is run: a matrix at the cap alone is 1 GiB
+    @pytest.mark.parametrize("build", [
+        lambda r: sequence_unitary(PulseSequence((Rotation("x", 0.1, 0),), r)),
+        lambda r: canonical_swap(0, 1, r),
+        lambda r: canonical_cswap(0, 1, 2, r),
+        lambda r: zzz_unitary(0.3, 0, 1, 2, r),
+    ], ids=["sequence", "swap", "cswap", "zzz"])
+    @pytest.mark.parametrize("r", [UNITARY_MAX_QUBITS + 1, 40])
+    def test_rejects_registers_past_the_cap(self, build, r):
+        with pytest.raises(ValueError, match=f"{r} qubits exceeds .*UNITARY_MAX_QUBITS = 13"):
+            build(r)
+
+    def test_sequences_themselves_are_uncapped(self):
+        assert swap_sequence(0, UNITARY_MAX_QUBITS + 1).register_size == UNITARY_MAX_QUBITS + 2
 
 
 class TestGlobalPhaseComparison:

@@ -52,3 +52,16 @@ def test_timed_keys(peak, key):
     row = sweep.timed(lambda: bytearray(1 << 16), 3, peak=peak)
     assert list(row) == ["calls", "median_s", "min_s", key] and row["calls"] == 3
     assert row[key] >= (1 << 16 if peak == "bytes" else 1 / 16)
+
+
+def test_timed_setup_gives_each_call_a_fresh_input():
+    sweep = _load(SCRIPTS / "sweep.py")
+    made, seen = [], []
+
+    def make():
+        made.append(object())
+        return made[-1]
+
+    row = sweep.timed(seen.append, 3, peak="bytes", setup=make)
+    # three timed calls and the tracemalloc call, each on its own input
+    assert row["calls"] == 3 and len(made) == 4 and seen == made

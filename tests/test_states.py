@@ -1,5 +1,6 @@
 """Tests for the state-vector and density-matrix kernel."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -22,9 +23,11 @@ from qent import (
     random_state,
     reduced_density,
     save_state,
+    subset_purity_exact,
     w_state,
 )
 from qent import states
+from qent.protocol import _joint_distribution
 from qent.states import (
     MalformedInput,
     _check_density_stack,
@@ -305,14 +308,17 @@ class TestSubsetPurities:
             got = subset_purities(state, [[k] for k in range(n)])
             want = [purity(reduced_density(state, [k])) for k in range(n)]
             assert np.max(np.abs(got - want)) < 1e-14
-            assert np.max(np.abs(subset_purities(state, [[3], [0]]) - got[[3, 0]])) < 1e-14
+            # a fresh copy, so that the two-qubit stack is computed, not read from the memo
+            fresh = PureState(state.n_qubits, state.amplitudes)
+            assert np.max(np.abs(subset_purities(fresh, [[3], [0]]) - got[[3, 0]])) < 1e-14
 
     def test_chunks_give_the_same_values(self, rng, monkeypatch):
         state = random_state(6, rng)
         subsets = list(itertools.combinations(range(6), 3))
         whole = subset_purities(state, subsets)
         monkeypatch.setattr(states, "_STACK_BYTES", 1)  # one subset per chunk
-        assert np.max(np.abs(subset_purities(state, subsets) - whole)) < 1e-15
+        fresh = PureState(state.n_qubits, state.amplitudes)
+        assert np.max(np.abs(subset_purities(fresh, subsets) - whole)) < 1e-15
 
     def test_rejects_bad_subset_lists(self, rng):
         state = random_state(3, rng)
@@ -326,8 +332,104 @@ class TestSubsetPurities:
         state = random_state(n, rng)
         object.__setattr__(state, "amplitudes", state.amplitudes * np.sqrt(1.01))
         for subsets in ([[k] for k in range(n)], [[0, 1], [1, 2]]):
-            with pytest.raises(ValueError, match="trace"):
-                subset_purities(state, subsets)
+            for _ in range(2):  # the first call stored nothing, so the second checks again
+                with pytest.raises(ValueError, match="trace"):
+                    subset_purities(state, subsets)
+        assert state._purities == {}
+
+
+def _all_subsets(n: int) -> list[tuple[int, ...]]:
+    return [s for m in range(1, n + 1) for s in itertools.combinations(range(n), m)]
+
+
+def _computed(state: PureState, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Purities computed with no memo to read: each subset alone, and all in one stack."""
+    alone = [subset_purities(PureState(state.n_qubits, state.amplitudes), [s])[0]
+             for s in subsets]
+    return np.array(alone), subset_purities(PureState(state.n_qubits, state.amplitudes), subsets)
+
+
+class TestPurityMemo:
+    ROUTES = {
+        "none": lambda state: None,
+        "alone": lambda state: [subset_purities(state, [s]) for s in _all_subsets(state.n_qubits)],
+        "stacked": lambda state: [subset_purities(state, list(itertools.combinations(
+            range(state.n_qubits), m))[::-1]) for m in range(1, state.n_qubits + 1)],
+        "q_purity": q_purity,
+        "joint": _joint_distribution,
+        "subset_purity_exact": lambda state: [subset_purity_exact(state, s)
+                                              for s in _all_subsets(state.n_qubits)],
+    }
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_any_call_order_gives_the_same_bits(self, rng, n):
+        for family in _families(n, rng):
+            by_size = [list(itertools.combinations(range(n), m)) for m in range(1, n + 1)]
+            want = []
+            for subsets in by_size:
+                alone, stacked = _computed(family, subsets)
+                assert (alone == stacked).all()
+                want.append(alone)
+            for first in self.ROUTES.values():
+                state = PureState(n, family.amplitudes)
+                first(state)
+                for subsets, alone in zip(by_size, want):
+                    assert (subset_purities(state, subsets) == alone).all()
+
+    def test_each_subset_is_computed_once(self, rng):
+        state = random_state(6, rng)
+        q_purity(state)
+        assert sorted(state._purities) == [(k,) for k in range(6)]
+        _joint_distribution(state)
+        # a pure state's purity table is computed on the smaller side of each cut
+        assert len(state._purities) == 6 + 15 + 10
+
+    def test_duplicates_within_one_call(self, rng):
+        state = random_state(4, rng)
+        for subsets in ([[1], [0], [1], [1]], [[0, 2], [1, 3], [0, 2]]):
+            alone, _ = _computed(state, subsets)
+            assert (subset_purities(state, subsets) == alone).all()
+        assert sorted(state._purities) == [(0,), (0, 2), (1,), (1, 3)]
+
+    def test_result_is_a_fresh_array(self, rng):
+        state = random_state(4, rng)
+        subsets = [[0, 1], [2, 3]]
+        got = subset_purities(state, subsets)
+        want = got.copy()
+        got[:] = -1.0
+        again = subset_purities(state, subsets)
+        assert (again == want).all() and again is not got
+
+    def test_lookups_still_check_their_subsets(self, rng):
+        state = random_state(3, rng)
+        subset_purities(state, [[0], [1], [2]])
+        for bad in ([], [[0], [0, 1]], [[3]], [[1, 1]], [[]], [[0.5]]):
+            with pytest.raises(ValueError):
+                subset_purities(state, bad)
+
+    def test_a_call_that_raises_stores_nothing(self, rng, monkeypatch):
+        state = random_state(5, rng)
+        subsets = list(itertools.combinations(range(5), 2))
+        monkeypatch.setattr(states, "_STACK_BYTES", 1)  # one subset per chunk
+        checked = []
+
+        def check_failing_third(rho):
+            checked.append(rho)
+            if len(checked) == 3:
+                raise ValueError("trace")
+
+        monkeypatch.setattr(states, "_check_density_stack", check_failing_third)
+        with pytest.raises(ValueError, match="trace"):
+            subset_purities(state, subsets)
+        assert state._purities == {}
+
+    def test_memo_is_not_a_field(self, rng):
+        state = random_state(3, rng)
+        q_purity(state)
+        assert [f.name for f in dataclasses.fields(PureState)] == ["n_qubits", "amplitudes"]
+        assert "_purities" not in repr(state)
+        rebuilt = dataclasses.replace(state)
+        assert rebuilt._purities == {}
 
 
 class TestDensityStackCheck:
