@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -156,8 +155,8 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
         raise ValueError("--phi is required for the threebody target")
     if target != "threebody" and phi is not None:
         raise ValueError("--phi only applies to the threebody target")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol must be finite and > 0, got {tol}")
+    if not states._finite(tol, "--tol") > 0:
+        raise ValueError(f"--tol must be > 0, got {tol}")
     if target == "swap":
         seq = pulses.swap_sequence(0, 1)
         canonical = pulses.canonical_swap(0, 1, seq.register_size)
@@ -168,8 +167,9 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
         seq = pulses.cswap_sequence(0, 1, 2)
         canonical = pulses.canonical_cswap(0, 1, 2, seq.register_size)
     if sequence_file is not None:
+        size = seq.register_size
         seq = _read(pulses.load_sequence, sequence_file, "sequence")
-        if seq.register_size != int(math.log2(canonical.shape[0])):
+        if seq.register_size != size:
             raise ValueError(f"sequence register size {seq.register_size} does not match target")
     deviation = pulses.phase_aligned_deviation(canonical, pulses.sequence_unitary(seq))
     time = pulses.interaction_time(seq, pulses.CouplingModel(g, sign_tunable))

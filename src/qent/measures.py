@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, _check_targets, check_subset, subset_purities
+from .states import PureState, _check_cap, _check_targets, _finite, check_subset, subset_purities
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
@@ -116,11 +116,8 @@ def _pair_block_norm2(u, v, rows: slice, cols: slice, bufs: np.ndarray) -> float
 def q_direct(state: PureState) -> float:
     """Q from the projection splits: (4/n) sum_k D(u~_k, v~_k)."""
     n = _check_measurable(state)
-    if n > DIRECT_MAX_QUBITS:
-        raise ValueError(
-            f"direct route takes O(4^n) time and is capped at DIRECT_MAX_QUBITS = "
-            f"{DIRECT_MAX_QUBITS} qubits, got {n}; use q_purity (--route purity)"
-        )
+    _check_cap("direct route", n, "DIRECT_MAX_QUBITS", DIRECT_MAX_QUBITS,
+               "it takes O(4^n) time; use q_purity (--route purity)")
     total = sum(
         wedge_distance(s.u_tilde, s.v_tilde)
         for s in (split_on_qubit(state, k) for k in range(n))
@@ -154,8 +151,8 @@ def schmidt_spectrum(state: PureState, part_a: Sequence[int]) -> SchmidtSpectrum
     return SchmidtSpectrum(sv)
 
 
-def schmidt_number(
-    state: PureState, part_a: Sequence[int], tol: float = SCHMIDT_RANK_TOL
-) -> int:
-    """Count of Schmidt coefficients above ``tol`` across the cut."""
+def schmidt_number(state: PureState, part_a: Sequence[int], tol: float = SCHMIDT_RANK_TOL) -> int:
+    """Count of Schmidt coefficients above ``tol``, a finite real >= 0, across the cut."""
+    if _finite(tol, "tol") < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     return int(np.sum(schmidt_spectrum(state, part_a).coefficients > tol))

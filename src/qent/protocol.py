@@ -55,6 +55,7 @@ from .states import (
     DensityMatrix,
     PureState,
     _bits,
+    _check_cap,
     _norm2,
     _subset_index,
     apply_unitary,
@@ -122,12 +123,9 @@ class ProtocolRun:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.mode == MODE_FULL_JOINT and self.state.n_qubits > JOINT_MODE_MAX_QUBITS:
-            raise ValueError(
-                f"full-joint mode reads all 2**n subset purities and is capped at "
-                f"JOINT_MODE_MAX_QUBITS = {JOINT_MODE_MAX_QUBITS} qubits, "
-                f"got n_qubits = {self.state.n_qubits}"
-            )
+        if self.mode == MODE_FULL_JOINT:
+            _check_cap("full-joint mode", self.state.n_qubits, "JOINT_MODE_MAX_QUBITS",
+                       JOINT_MODE_MAX_QUBITS, "it reads all 2**n subset purities")
 
 
 @dataclass(frozen=True)
@@ -397,11 +395,8 @@ def _controlled_swaps(control, state: PureState, columns) -> PureState:
     squared norm 1 +- 0.9e-10 passes ``PureState``, but psi (x) psi would not.
     """
     m, n = len(columns), state.n_qubits
-    if not _circuit_fits(m, n):
-        raise ValueError(
-            f"circuit simulation of {m} control qubits and two {n}-qubit copies needs "
-            f"at most FULL_JOINT_MAX_QUBITS = {FULL_JOINT_MAX_QUBITS} qubits, got {m + 2 * n}"
-        )
+    _check_cap("circuit simulation", m + 2 * n, "FULL_JOINT_MAX_QUBITS", FULL_JOINT_MAX_QUBITS,
+               "its control register and two copies of the state form one dense vector")
     doubled = np.kron(state.amplitudes, state.amplitudes)
     joint = PureState(m + 2 * n, np.kron(control().amplitudes, doubled / np.sqrt(_norm2(doubled))))
     for j, qubit in enumerate(columns):

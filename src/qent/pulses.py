@@ -25,9 +25,9 @@ and exp(-i angle) where they differ; a rotation is one 2x2 step,
 cos(angle) I + i sin(angle) sigma on the product viewed as (2^q, 2, rest).
 Every dense unitary built here, the product and the canonical gates, is
 refused above ``UNITARY_MAX_QUBITS`` = 13 qubits before it is allocated;
-a ``PulseSequence`` itself may span any register.  Pulse angles and the
-coupling strength must be real numbers: a bool, string, None or complex
-value raises ValueError.
+a ``PulseSequence`` itself may span any register.  Indices and sizes follow
+``states._integer``; angles, phi and g follow ``states._finite``, so a bool,
+string, None, complex or non-finite value raises ValueError.
 
 Interaction-time accounting: the coupling hardware evolves under
 H = g sigma_z sigma_z, so a time t >= 0 realizes exp(-i g t ZZ).  With fixed
@@ -43,14 +43,14 @@ c-SWAP sequence.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .states import MalformedInput, _bits, _check_targets, _encode_json, _parse_json, _qubit_count
+from .states import (MalformedInput, _bits, _check_cap, _check_targets, _encode_json, _finite,
+                     _integer, _parse_json, _real)
 
 AXES = ("x", "y", "z")
 _PAULI = {
@@ -64,26 +64,14 @@ _ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 2, 1)
 # largest register of a dense unitary: one 2^13 x 2^13 complex matrix is 1 GiB,
 # as is the amplitude vector at states.MAX_QUBITS
 UNITARY_MAX_QUBITS = 13
+_DENSE_WHY = "its 4**n matrix entries take 2**(2n + 4) bytes"
 
 
-def _real(value, what: str):
-    """``value`` if it is a real number; a bool, str, None or complex raises ValueError."""
-    # plain floats first: a library session builds dozens of pulses
-    if type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    ):
-        return value
-    raise ValueError(f"{what} must be a real number, got {value!r}")
-
-
-def _check_unitary_size(register_size: int, what: str) -> None:
-    """Refuse a dense unitary above UNITARY_MAX_QUBITS before allocating it."""
-    if register_size > UNITARY_MAX_QUBITS:
-        raise ValueError(
-            f"{what} on {register_size} qubits exceeds the cap of UNITARY_MAX_QUBITS = "
-            f"{UNITARY_MAX_QUBITS} (its dense matrix alone would take 2**{2 * register_size + 4} "
-            f"bytes)"
-        )
+def _dense(what: str, targets, register_size) -> tuple[int, tuple[int, ...]]:
+    """The register size and targets of a dense gate, refused above UNITARY_MAX_QUBITS."""
+    size = _integer(register_size, "register_size")
+    _check_cap(what, size, "UNITARY_MAX_QUBITS", UNITARY_MAX_QUBITS, _DENSE_WHY)
+    return size, _check_targets(what, targets, size)
 
 
 @dataclass(frozen=True)
@@ -97,9 +85,8 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not math.isfinite(_real(self.angle, "angle")):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "qubit", _qubit_count(self.qubit, "qubit"))
+        _finite(self.angle, "angle")
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit"))
 
 
 @dataclass(frozen=True)
@@ -110,11 +97,10 @@ class IsingCoupling:
     qubits: tuple[int, int]
 
     def __post_init__(self):
-        a, b = (_qubit_count(q, "qubits") for q in self.qubits)
+        a, b = (_integer(q, "qubits") for q in self.qubits)
         if a == b:
             raise ValueError(f"Ising coupling needs two distinct qubits, got {self.qubits}")
-        if not math.isfinite(_real(self.angle, "angle")):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
+        _finite(self.angle, "angle")
         object.__setattr__(self, "qubits", (a, b))
 
 
@@ -134,7 +120,7 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
-        size = _qubit_count(self.register_size, "register_size")
+        size = _integer(self.register_size, "register_size")
         object.__setattr__(self, "register_size", size)
         for p in self.pulses:
             _check_targets("pulse", (p.qubit,) if isinstance(p, Rotation) else p.qubits, size)
@@ -142,15 +128,16 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Finite Ising coupling strength g > 0 (radians per unit time)."""
+    """Finite Ising coupling strength g > 0 (radians per unit time); ``sign_tunable`` a bool."""
 
     g: float
     sign_tunable: bool = False
 
     def __post_init__(self):
-        g = _real(self.g, "coupling strength g")
-        if not (math.isfinite(g) and g > 0):
-            raise ValueError(f"coupling strength g must be finite and > 0, got {self.g}")
+        if not _finite(self.g, "coupling strength g") > 0:
+            raise ValueError(f"coupling strength g must be > 0, got {self.g}")
+        if not isinstance(self.sign_tunable, (bool, np.bool_)):
+            raise ValueError(f"sign_tunable must be a bool, got {self.sign_tunable!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,8 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Ordered product of the pulse unitaries (first pulse rightmost); see "Matrix realization"."""
     if not seq.pulses:
         raise ValueError("pulse sequence is empty")
-    _check_unitary_size(seq.register_size, "sequence unitary")
+    _check_cap("sequence unitary", seq.register_size, "UNITARY_MAX_QUBITS", UNITARY_MAX_QUBITS,
+               _DENSE_WHY)
     u = np.eye(2**seq.register_size, dtype=complex)
     for p in seq.pulses:
         if isinstance(p, Rotation):
@@ -227,6 +215,7 @@ def three_body_sequence(phi: float, c: int, t: int, s: int) -> PulseSequence:
     exp(-i phi Z_t Z_s) coupling onto the three-body generator; the identity
     is exact (no global phase).
     """
+    phi = _finite(phi, "phi")
     c, t, s = _check_targets("three-body", (c, t, s))
     return PulseSequence(tuple(_three_body_pulses(phi, c, t, s)), max(c, t, s) + 1)
 
@@ -300,8 +289,7 @@ def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
-    t, s = _check_targets("SWAP", (t, s), register_size)
-    _check_unitary_size(register_size, "canonical SWAP")
+    register_size, (t, s) = _dense("canonical SWAP", (t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     u = np.zeros((dim, dim), dtype=complex)
@@ -310,8 +298,7 @@ def canonical_swap(t: int, s: int, register_size: int) -> np.ndarray:
 
 
 def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
-    c, t, s = _check_targets("c-SWAP", (c, t, s), register_size)
-    _check_unitary_size(register_size, "canonical c-SWAP")
+    register_size, (c, t, s) = _dense("canonical c-SWAP", (c, t, s), register_size)
     dim = 2**register_size
     idx = np.arange(dim)
     swapped = idx.reshape([2] * register_size).swapaxes(t, s).reshape(-1)
@@ -323,8 +310,8 @@ def canonical_cswap(c: int, t: int, s: int, register_size: int) -> np.ndarray:
 
 def zzz_unitary(phi: float, c: int, t: int, s: int, register_size: int) -> np.ndarray:
     """exp(+i phi Z_c Z_t Z_s): diagonal phases by parity of the three bits."""
-    cols = list(_check_targets("three-body", (c, t, s), register_size))
-    _check_unitary_size(register_size, "three-body unitary")
+    phi = _finite(phi, "phi")
+    register_size, cols = _dense("three-body unitary", (c, t, s), register_size)
     odd = np.logical_xor.reduce(_bits(np.arange(2**register_size), register_size)[:, cols], axis=1)
     return np.diag(np.exp(1j * phi * np.where(odd, -1.0, 1.0)))
 
@@ -350,7 +337,7 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
 
     Raises ``states.MalformedInput`` on a document of another shape (a
     missing key, an unknown pulse kind, a wrong number of targets, an index
-    that is not an integer, an angle that is not a JSON number or that
+    that is not an integer, an angle that is not a real number or that
     overflows a float) and a plain ValueError on a sequence that fails
     validation, such as a target outside the register.
     """
@@ -359,18 +346,15 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
         for entry in doc["pulses"]:
             if entry["kind"] not in ("rotation", "ising"):
                 raise ValueError(f"unknown pulse kind {entry['kind']!r}")
-            targets = [_qubit_count(t, "targets") for t in entry["targets"]]
-            angle = entry["angle"]
-            if isinstance(angle, bool) or not isinstance(angle, (int, float)):
-                raise ValueError(f"angle must be a number, got {angle!r}")
-            angle = float(angle)
+            targets = [_integer(t, "targets") for t in entry["targets"]]
+            angle = float(_real(entry["angle"], "angle"))
             if entry["kind"] == "rotation":
                 (target,) = targets
                 fields.append((Rotation, (entry["axis"], angle, target)))
             else:
                 a, b = targets
                 fields.append((IsingCoupling, (angle, (a, b))))
-        size = _qubit_count(doc["register_size"], "register_size")
+        size = _integer(doc["register_size"], "register_size")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"malformed sequence document: {exc}") from exc
     return PulseSequence(tuple(pulse(*args) for pulse, args in fields), size)

@@ -6,8 +6,9 @@ state |b_0 b_1 ... b_{n-1}> sits at index sum_k b_k * 2**(n-1-k).  This
 matches ``amplitudes.reshape([2] * n)`` with axis k belonging to qubit k.
 Two private helpers hold this order for the whole package: ``_bits`` (basis
 indices to qubit bits) and ``_subset_index`` (qubit subsets to basis
-indices).  ``_qubit_count`` is the one integer rule for qubit indices and
-counts, and ``_check_targets`` the one check that targets are distinct and in range.
+indices).  The one rule for each kind of input lives here too: ``_integer``
+for qubit indices, counts and sizes, ``_real`` and ``_finite`` for real
+numbers, ``_check_targets`` for targets and ``_check_cap`` for qubit caps.
 
 States and matrices are validated on construction and frozen afterwards
 (read-only numpy buffers); every operation returns a fresh object.  The
@@ -31,6 +32,8 @@ raises a plain ``ValueError``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,6 +131,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         mat = _frozen_complex_array(self.entries, (self.dim, self.dim))
@@ -165,13 +169,36 @@ def _which(i: int, k: int) -> str:
     return "matrix" if k == 1 else f"matrix {i} of the stack"
 
 
-def _qubit_count(value, field: str = "n_qubits") -> int:
-    """A qubit index or count as an int, from an int, a numpy integer or an integral float only."""
+def _integer(value, what: str = "n_qubits") -> int:
+    """An int from an int, a numpy integer or an integral float only; else ValueError."""
     if type(value) is int:
         return value
     if isinstance(value, (float, np.integer, np.floating)) and value % 1 == 0:
         return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str):
+    """``value`` if it is a real number; a bool, str, None or complex raises ValueError."""
+    # plain floats first: a library session builds dozens of pulses
+    if type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    ):
+        return value
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+def _finite(value, what: str):
+    """``value`` if it is a finite real number (see ``_real``); else ValueError."""
+    if math.isfinite(_real(value, what)):
+        return value
+    raise ValueError(f"{what} must be finite, got {value!r}")
+
+
+def _check_cap(what: str, qubits: int, name: str, cap: int, why: str) -> None:
+    """The one cap check: ``what`` on more than ``cap`` = ``name`` qubits raises ValueError."""
+    if qubits > cap:
+        raise ValueError(f"{what} on {qubits} qubits exceeds the cap of {name} = {cap} ({why})")
 
 
 def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
@@ -188,7 +215,7 @@ def _check_targets(what: str, targets: Sequence[int], n: int | None = None) -> t
     Without n the register is the smallest that holds the targets.
     """
     field = what + " target"
-    targets = tuple([_qubit_count(t, field) for t in targets])
+    targets = tuple([_integer(t, field) for t in targets])
     if n is None:
         n = max(targets, default=-1) + 1
     if len(set(targets)) != len(targets):
@@ -226,14 +253,10 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 def _check_qubit_count(n: int, minimum: int, family: str) -> int:
     """n as an int in [minimum, MAX_QUBITS]; states and factories call it before allocating."""
-    n = _qubit_count(n, f"{family} qubit count")
+    n = _integer(n, f"{family} qubit count")
     if n < minimum:
         raise ValueError(f"{family} needs n >= {minimum} qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"{family} with {n} qubits exceeds the cap of MAX_QUBITS = {MAX_QUBITS} "
-            f"(its amplitude vector alone would take 2**{n + 4} bytes)"
-        )
+    _check_cap(family, n, "MAX_QUBITS", MAX_QUBITS, "its 2**n amplitudes take 2**(n + 4) bytes")
     return n
 
 
@@ -490,7 +513,7 @@ def load_state(path: str | Path) -> PureState:
     """
     try:
         doc = _parse_json(Path(path).read_bytes())
-        n = _qubit_count(doc["n_qubits"])
+        n = _integer(doc["n_qubits"])
         # complex(re, im) rejects string and null amplitudes, which
         # np.array(pairs, dtype=float) would convert to numbers and NaN, and
         # integers too large for a float

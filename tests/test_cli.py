@@ -302,6 +302,11 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.startswith("error:")
 
+    def test_non_finite_phi_named_as_given(self, runner):
+        result = invoke(runner, "verify", "threebody", "--phi", "inf")
+        assert result.exit_code == 1
+        assert result.output == "error: phi must be finite, got inf\n"
+
     def test_sequence_export_and_reimport(self, runner, tmp_path):
         seq_file = tmp_path / "cswap.json"
         assert invoke(runner, "verify", "cswap", "--out", seq_file).exit_code == 0
@@ -373,6 +378,17 @@ class TestVerify:
         result = invoke(runner, "verify", "swap", "--sequence", seq_file)
         assert result.exit_code == 1
         assert result.output.startswith(f"error: invalid sequence in {seq_file}: pulse targets")
+
+    def test_infinite_sequence_angle_exits_1(self, runner, tmp_path):
+        seq_file = tmp_path / "swap.json"
+        invoke(runner, "verify", "swap", "--out", seq_file)
+        doc = json.loads(seq_file.read_text())
+        doc["pulses"][0]["angle"] = float("inf")
+        seq_file.write_text(json.dumps(doc))
+        result = invoke(runner, "verify", "swap", "--sequence", seq_file)
+        assert result.exit_code == 1
+        want = f"error: invalid sequence in {seq_file}: angle must be finite, got inf\n"
+        assert result.output == want
 
 
 class TestProtocol:

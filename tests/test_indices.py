@@ -1,17 +1,23 @@
-"""One integer rule for every qubit index and count (``states._qubit_count``).
+"""One rule per kind of input, each written once in ``qent.states``.
 
-An index is a Python int, a numpy integer or an integral float; a fraction, a
-bool or a string is rejected with a ValueError at every entry point instead of
-being truncated or failing later with a TypeError.
+An index, count or size is a Python int, a numpy integer or an integral float
+(``states._integer``); a fraction, a bool or a string is rejected with a
+ValueError at every entry point instead of being truncated or failing later
+with a TypeError.  Every qubit cap raises through ``states._check_cap``, and
+no other module writes a cap message or its own finiteness test.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qent
 from qent import (
+    DensityMatrix,
     IsingCoupling,
+    ProtocolRun,
     PureState,
     Rotation,
     apply_unitary,
@@ -20,10 +26,13 @@ from qent import (
     cluster_state,
     cswap_sequence,
     ghz_state,
+    joint_outcome_distribution,
+    q_direct,
     random_product_state,
     random_state,
     reduced_density,
     schmidt_spectrum,
+    sequence_unitary,
     split_on_qubit,
     subset_purities,
     subset_purity_circuit,
@@ -33,6 +42,10 @@ from qent import (
     w_state,
     zzz_unitary,
 )
+from qent.measures import DIRECT_MAX_QUBITS
+from qent.protocol import FULL_JOINT_MAX_QUBITS, JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
+from qent.pulses import UNITARY_MAX_QUBITS
+from qent.states import MAX_QUBITS
 
 STATE = ghz_state(3)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,6 +78,31 @@ FACTORIES = {
     "random_state": lambda n: random_state(n, 7),
     "random_product_state": lambda n: random_product_state(n, 7),
     "PureState": lambda n: PureState(n, STATE.amplitudes),
+}
+
+# each takes a size: a 3-qubit register, or the dimension 2 of a density matrix
+SIZES = {
+    "canonical_swap": (lambda r: canonical_swap(0, 2, r), 3, "register_size"),
+    "canonical_cswap": (lambda r: canonical_cswap(0, 1, 2, r), 3, "register_size"),
+    "zzz_unitary": (lambda r: zzz_unitary(0.3, 0, 1, 2, r), 3, "register_size"),
+    "DensityMatrix": (lambda d: DensityMatrix(d, np.eye(2) / 2), 2, "dim"),
+}
+
+# each builds a register one qubit past the cap it names; none allocates first
+CAPS = {
+    "MAX_QUBITS": (lambda: ghz_state(MAX_QUBITS + 1), MAX_QUBITS),
+    "UNITARY_MAX_QUBITS": (
+        lambda: sequence_unitary(swap_sequence(0, UNITARY_MAX_QUBITS)), UNITARY_MAX_QUBITS
+    ),
+    "DIRECT_MAX_QUBITS": (lambda: q_direct(ghz_state(DIRECT_MAX_QUBITS + 1)), DIRECT_MAX_QUBITS),
+    "JOINT_MODE_MAX_QUBITS": (
+        lambda: ProtocolRun(ghz_state(JOINT_MODE_MAX_QUBITS + 1), 10, 0, MODE_FULL_JOINT),
+        JOINT_MODE_MAX_QUBITS,
+    ),
+    # three registers of 5 qubits
+    "FULL_JOINT_MAX_QUBITS": (
+        lambda: joint_outcome_distribution(ghz_state(5)), FULL_JOINT_MAX_QUBITS
+    ),
 }
 
 
@@ -110,3 +148,36 @@ def test_integral_count_becomes_int(factory, count):
     state = FACTORIES[factory](count)
     assert type(state.n_qubits) is int
     assert_same(state, FACTORIES[factory](3))
+
+
+@pytest.mark.parametrize("bad", ["3", None, True], ids=["str", "none", "bool"])
+@pytest.mark.parametrize("entry", SIZES)
+def test_non_integer_size_rejected(entry, bad):
+    build, _, field = SIZES[entry]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        build(bad)
+
+
+@pytest.mark.parametrize("entry", SIZES)
+def test_integral_float_size_equals_int(entry):
+    build, size, _ = SIZES[entry]
+    assert_same(build(float(size)), build(size))
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_caps_share_one_message(name):
+    build, cap = CAPS[name]
+    shape = rf"^.+ on {cap + 1} qubits exceeds the cap of {name} = {cap} \(.+\)$"
+    with pytest.raises(ValueError, match=shape):
+        build()
+
+
+@pytest.mark.parametrize("module", sorted(Path(qent.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_input_rules_live_in_states(module):
+    text = module.read_text()
+    if module.name == "states.py":
+        assert text.count("exceeds the cap") == 1
+    else:
+        for rule in ("exceeds the cap", "math.isfinite", "numbers.Real"):
+            assert rule not in text, f"{module.name} writes its own {rule!r} rule"

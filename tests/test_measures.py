@@ -322,6 +322,15 @@ class TestSchmidt:
         assert schmidt_number(bell_bell(), [0, 1]) == 1
         assert schmidt_number(ghz_state(4), [0, 1]) == 2
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1e-8", -1e-8, None, True],
+                             ids=repr)
+    def test_schmidt_number_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            schmidt_number(ghz_state(3), [0], tol=tol)
+
+    def test_schmidt_number_zero_tol(self):
+        assert schmidt_number(ghz_state(3), [0], tol=0) == 2
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_cluster_cut_ranks(self, n):
         # A contiguous cut of a line crosses one edge, so its Schmidt number

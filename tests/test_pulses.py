@@ -365,6 +365,17 @@ class TestInteractionTime:
         with pytest.raises(ValueError, match="finite"):
             CouplingModel(g)
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, 1.0], ids=repr)
+    def test_rejects_non_bool_sign_tunable(self, flag):
+        with pytest.raises(ValueError, match="sign_tunable must be a bool"):
+            CouplingModel(1.0, sign_tunable=flag)
+
+    def test_numpy_bool_sign_tunable_accepted(self):
+        seq = cswap_sequence(0, 1, 2)
+        for flag in (False, True):
+            want = interaction_time(seq, CouplingModel(1.0, flag))
+            assert interaction_time(seq, CouplingModel(1.0, np.bool_(flag))) == want
+
 
 def axis_gate(r, swap=None, control=None, phase=None):
     """A canonical gate from its action on the state tensor, one axis per qubit.
