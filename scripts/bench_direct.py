@@ -1,4 +1,4 @@
-"""Kernel sweep of the direct route: wedge_distance time and peak memory over n.
+"""Kernel sweep of the direct route: wedge_distance and q_direct time and peak memory over n.
 
 Run from the root of the checkout to measure:
 
@@ -6,12 +6,15 @@ Run from the root of the checkout to measure:
 
 For n = 8..--max-n it splits a seeded random n-qubit state on qubit 0 and
 times REPEATS wedge_distance calls on the two remainder vectors (length
-2^(n-1)), then takes the tracemalloc peak of one more call.  Then, for a
-kernel with a row-block budget, it repeats the n = 11 point under each budget
-in BUDGET_SWEEP, and last it times q_direct at n = 11.  All of it runs in one
-process.  The labelled section (with the command, interpreter, numpy version
-and host) is merged into --out, keeping the other sections, so two checkouts
-can be measured under the same command.
+2^(n-1)); for n = 4..--max-n it times REPEATS q_direct calls on the whole
+state.  Every row takes the tracemalloc peak of one more call and records
+the process CPU time over the wall time of its timed calls, which exceeds 1
+when BLAS runs worker threads.  Then, for a kernel with a row-block budget,
+it repeats the q_direct points at BUDGET_SWEEP_N under each budget in
+BUDGET_SWEEP.  All of it runs in one process.  The labelled section (with
+the command, interpreter, numpy version and host) is merged into --out,
+keeping the other sections, so two checkouts can be measured under the same
+command.
 """
 
 from __future__ import annotations
@@ -22,17 +25,25 @@ import sweep
 from qent import measures, q_direct, random_state, split_on_qubit, wedge_distance
 
 SEED = 20240817
-Q_DIRECT_N = 11
 REPEATS = 15  # timed calls per point
 BUDGET_SWEEP = (1 << 18, 1 << 19, 3 << 18, 1 << 20)  # bytes per row block
+BUDGET_SWEEP_N = (8, 11, 13)
+
+
+def _timed(fn) -> dict:
+    fn()  # warm-up
+    return sweep.timed(fn, REPEATS, peak="bytes", cpu=True)
 
 
 def _kernel_row(n: int) -> dict:
     split = split_on_qubit(random_state(n, SEED), 0)
     u, v = split.u_tilde, split.v_tilde
-    wedge_distance(u, v)  # warm-up
-    return {"n": n, "vector_length": u.size,
-            **sweep.timed(lambda: wedge_distance(u, v), REPEATS, peak="bytes")}
+    return {"n": n, "vector_length": u.size, **_timed(lambda: wedge_distance(u, v))}
+
+
+def _q_direct_row(n: int) -> dict:
+    state = random_state(n, SEED)
+    return {"n": n, **_timed(lambda: q_direct(state))}
 
 
 def _budget_sweep() -> list[dict]:
@@ -41,9 +52,10 @@ def _budget_sweep() -> list[dict]:
         return []
     rows = []
     try:
-        for budget in BUDGET_SWEEP:
-            measures._WEDGE_BLOCK_BYTES = budget
-            rows.append({"budget_bytes": budget, **_kernel_row(Q_DIRECT_N)})
+        for n in BUDGET_SWEEP_N:
+            for budget in BUDGET_SWEEP:
+                measures._WEDGE_BLOCK_BYTES = budget
+                rows.append({"budget_bytes": budget, **_q_direct_row(n)})
     finally:
         measures._WEDGE_BLOCK_BYTES = default
     return rows
@@ -57,22 +69,21 @@ def main() -> None:
     args = parser.parse_args()
 
     kernel = [_kernel_row(n) for n in range(8, args.max_n + 1)]
+    direct = [_q_direct_row(n) for n in range(4, args.max_n + 1)]
     budgets = _budget_sweep()
-    state = random_state(Q_DIRECT_N, SEED)
-    q_direct(state)  # warm-up
-    q_row = {"n": Q_DIRECT_N, **sweep.timed(lambda: q_direct(state), REPEATS)}
     sweep.write_section(
         args.out, args.label,
         f"PYTHONPATH=src python3 scripts/bench_direct.py --label {args.label} --max-n {args.max_n}",
-        wedge_distance=kernel, block_budget_sweep=budgets, q_direct=q_row)
+        wedge_distance=kernel, q_direct=direct, block_budget_sweep=budgets)
 
-    for row in kernel:
-        print(f"n={row['n']:2d}  median {row['median_s'] * 1e3:9.2f} ms  "
-              f"peak {row['tracemalloc_peak_bytes'] / 2**20:8.2f} MiB")
+    for name, rows in (("wedge_distance", kernel), ("q_direct", direct)):
+        for row in rows:
+            print(f"{name:14s} n={row['n']:2d}  median {row['median_s'] * 1e3:9.3f} ms  "
+                  f"cpu/wall {row['cpu_over_wall']:.2f}  "
+                  f"peak {row['tracemalloc_peak_bytes'] / 2**20:6.2f} MiB")
     for row in budgets:
-        print(f"n={Q_DIRECT_N} budget {row['budget_bytes'] >> 10:5d} KiB  "
-              f"median {row['median_s'] * 1e3:9.2f} ms")
-    print(f"q_direct n={Q_DIRECT_N}  median {q_row['median_s'] * 1e3:.2f} ms")
+        print(f"q_direct n={row['n']:2d} budget {row['budget_bytes'] >> 10:5d} KiB  "
+              f"median {row['median_s'] * 1e3:9.3f} ms  cpu/wall {row['cpu_over_wall']:.2f}")
 
 
 if __name__ == "__main__":

@@ -19,25 +19,31 @@ from pathlib import Path
 import numpy as np
 
 
-def timed(fn, repeats: int, peak: str | None = None, setup=None) -> dict:
+def timed(fn, repeats: int, peak: str | None = None, setup=None, cpu: bool = False) -> dict:
     """Call count, median and minimum wall time of ``repeats`` calls of ``fn``.
 
     With ``setup``, each call is ``fn(setup())`` and only ``fn`` is timed,
     so that every call can get fresh inputs, such as a new copy of a state
     whose purities the state would otherwise remember from the call before.
+    With ``cpu``, the process CPU time of the timed calls over their wall
+    time is added as ``cpu_over_wall``: above 1 means that worker threads ran.
     With ``peak`` set to "bytes" or "mib", one more call runs under
     tracemalloc and its peak is added as ``tracemalloc_peak_<peak>``;
     tracemalloc sees only what goes through Python's allocator.
     """
     make = setup or (lambda: None)
     call = fn if setup else lambda _: fn()
-    times = []
+    times, cpu_s = [], 0.0
     for _ in range(repeats):
         arg = make()
+        cpu_start = time.process_time()
         start = time.perf_counter()
         call(arg)
         times.append(time.perf_counter() - start)
+        cpu_s += time.process_time() - cpu_start
     row = {"calls": repeats, "median_s": statistics.median(times), "min_s": min(times)}
+    if cpu:
+        row["cpu_over_wall"] = cpu_s / sum(times)
     if peak is not None:
         arg = make()
         tracemalloc.start()

@@ -110,22 +110,30 @@ class ProtocolRun:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # the tally draws take int64 counts and an integer seed; a fraction would fail in them
-        for field in ("n_trials", "seed"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+        _check_integral(self.n_trials, "n_trials")
+        _check_seed(self.seed)
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials > MAX_TRIALS:
             raise ValueError(
                 f"n_trials must be <= 2**60 (int64 binomial draws), got {self.n_trials}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.mode == MODE_FULL_JOINT:
             _check_cap("full-joint mode", self.state.n_qubits, "JOINT_MODE_MAX_QUBITS",
                        JOINT_MODE_MAX_QUBITS, "it reads all 2**n subset purities")
+
+
+def _check_integral(value, field: str) -> None:
+    # the tally draws take int64 counts and an integer seed; a fraction would fail in them
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """The seed rule of a sampled run: an integer (not a bool) >= 0."""
+    _check_integral(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -333,6 +341,7 @@ def convergence_sweep(
     ``SeedSequence((seed, index))`` so the sweep is reproducible while
     counts stay uncorrelated.
     """
+    _check_seed(seed)
     if not trial_counts:
         raise ValueError("convergence sweep needs at least one trial count")
     if any(b <= a for a, b in zip(trial_counts, trial_counts[1:])):

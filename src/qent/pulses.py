@@ -261,12 +261,14 @@ def interaction_time(seq: PulseSequence, model: CouplingModel) -> float:
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """True iff u = e^{i alpha} v within ``tol``.
+    """True iff u = e^{i alpha} v within ``tol``, a finite real > 0.
 
     Requires both |Tr(u^dag v)|/dim > 1 - tol and, after aligning v by the
     trace phase, max elementwise deviation < tol * dim, so near-degenerate
     traces cannot pass on the trace condition alone.
     """
+    if _finite(tol, "tol") <= 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     deviation = phase_aligned_deviation(u, v)
     dim = len(u)
     return abs(np.vdot(u, v)) / dim > 1 - tol and deviation < tol * dim

@@ -249,7 +249,7 @@ class TestQ:
         def forbidden(*args, **kwargs):
             raise AssertionError("the direct route started")
 
-        monkeypatch.setattr(measures, "split_on_qubit", forbidden)
+        monkeypatch.setattr(measures, "_wedge_sum", forbidden)
         path = tmp_path / "big17.json"
         assert invoke(runner, "gen", "product", "--n", 17, "--out", path).exit_code == 0
         for route in ("all", "direct"):
@@ -461,6 +461,13 @@ class TestProtocol:
         result = invoke(runner, "protocol", path, "--sweep", sweep)
         assert result.exit_code == 1
         assert "error:" in result.output and "n_trials" not in result.output
+
+    def test_sweep_negative_seed_exits_1(self, runner, tmp_path):
+        path = tmp_path / "g3.json"
+        invoke(runner, "gen", "ghz", "--n", 3, "--out", path)
+        result = invoke(runner, "protocol", path, "--sweep", "10,20", "--seed", -1)
+        assert result.exit_code == 1
+        assert "error: seed must be a nonnegative integer, got -1" in result.output
 
     def test_nan_state_exits_1(self, runner, tmp_path):
         path = tmp_path / "nan.json"

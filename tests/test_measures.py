@@ -121,6 +121,17 @@ class TestWedgeDistance:
         with pytest.raises(ValueError):
             wedge_distance([1, 0], [1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"max \|u_i\| must be finite"):
+            wedge_distance([bad, 1], [1, 0])
+        with pytest.raises(ValueError, match=r"max \|v_i\| must be finite"):
+            wedge_distance([1, 0], [0, complex(1, bad)])
+
+    def test_large_finite_entries_are_accepted(self):
+        # |u|^2 overflows, but the one pair term is u_0 v_1 - u_1 v_0 = -1
+        assert wedge_distance([1e200, 1], [1, 0]) == 1.0
+
 
 class TestWedgeBlocks:
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
@@ -158,6 +169,53 @@ class TestWedgeBlocks:
         assert peak < 4 * 2**20
 
 
+class TestWedgeSum:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 33])
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_stack_matches_pair_loops(self, monkeypatch, rng, m, size, rows):
+        # a budget of `rows` rows of every pair in the stack, ragged for most sizes
+        monkeypatch.setattr(measures, "_WEDGE_BLOCK_BYTES", rows * m * size * 16)
+        us = rng.standard_normal((m, size)) + 1j * rng.standard_normal((m, size))
+        vs = rng.standard_normal((m, size)) + 1j * rng.standard_normal((m, size))
+        expected = np.array([brute_force_wedge(u, v) for u, v in zip(us, vs)])
+        assert np.all(np.abs(wedge_distance(us, vs) - expected) <= 1e-12 * expected)
+
+    def test_stack_keeps_its_leading_shape(self, rng):
+        us = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        vs = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        d = wedge_distance(us, vs)
+        assert d.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert d[idx] == pytest.approx(wedge_distance(us[idx], vs[idx]), rel=1e-14)
+        with pytest.raises(ValueError, match="vector shapes differ"):
+            wedge_distance(us, vs[0])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize(
+        "make",
+        [ghz_state, w_state, cluster_state, lambda n: random_state(n, 5)],
+        ids=["ghz", "w", "cluster", "random"],
+    )
+    def test_q_direct_equals_one_pair_per_qubit(self, make, n):
+        state = make(n)
+        splits = [split_on_qubit(state, k) for k in range(n)]
+        expected = 4 / n * sum(wedge_distance(s.u_tilde, s.v_tilde) for s in splits)
+        assert abs(q_direct(state) - expected) <= 1e-13 * expected
+
+    def test_q_direct_peak_memory_is_bounded(self):
+        # the full pair matrices would take 256 MiB each; the stacks, the
+        # kernel's right operand and its block stay within about 1 MiB
+        state = random_state(13, 3)
+        tracemalloc.start()
+        try:
+            q_direct(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 @st.composite
 def _sparse_states(draw):
     # random amplitudes on a random support: from basis states up to dense ones
@@ -173,14 +231,14 @@ def _sparse_states(draw):
 class TestDirectCap:
     def test_cap_is_checked_before_any_split(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("split_on_qubit ran")
+            raise AssertionError("_wedge_sum ran")
 
-        monkeypatch.setattr(measures, "split_on_qubit", forbidden)
+        monkeypatch.setattr(measures, "_wedge_sum", forbidden)
         assert measures.DIRECT_MAX_QUBITS == 16
         with pytest.raises(ValueError, match=r"DIRECT_MAX_QUBITS = 16 .*q_purity"):
             q_direct(product_state([(1, 0)] * 17))
-        # at the cap the route proceeds to its first split
-        with pytest.raises(AssertionError, match="split_on_qubit ran"):
+        # at the cap the route proceeds to its first kernel call
+        with pytest.raises(AssertionError, match="_wedge_sum ran"):
             q_direct(ghz_state(16))
 
 

@@ -550,6 +550,11 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="ascending"):
             convergence_sweep(ghz_state(2), [1000, 100], seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_checks_seed_before_any_substream(self, seed):
+        with pytest.raises(ValueError, match="seed must be a"):
+            convergence_sweep(ghz_state(2), [10, 20], seed=seed)
+
     def test_csv_format(self):
         text = sweep_csv([(100, 0.25), (1000, 0.0125)])
         lines = text.strip().split("\n")

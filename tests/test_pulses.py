@@ -464,6 +464,15 @@ class TestGlobalPhaseComparison:
         with pytest.raises(ValueError):
             equal_up_to_global_phase(np.eye(2), np.eye(4), 1e-9)
 
+    @pytest.mark.parametrize(
+        "tol,message",
+        [(np.nan, "finite"), (np.inf, "finite"), (0.0, "> 0"), (-1e-9, "> 0"), (True, "real number")],
+        ids=["nan", "inf", "zero", "negative", "bool"],
+    )
+    def test_rejects_bad_tol(self, tol, message):
+        with pytest.raises(ValueError, match=f"tol must be (a )?{message}"):
+            equal_up_to_global_phase(np.eye(2), np.eye(2), tol)
+
 
 class TestSequenceFiles:
     def test_dict_round_trip(self):

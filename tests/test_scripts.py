@@ -1,9 +1,11 @@
 """Smoke tests of the benchmark sweeps under scripts/: they import, and the harness merges sections."""
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,3 +67,14 @@ def test_timed_setup_gives_each_call_a_fresh_input():
     row = sweep.timed(seen.append, 3, peak="bytes", setup=make)
     # three timed calls and the tracemalloc call, each on its own input
     assert row["calls"] == 3 and len(made) == 4 and seen == made
+
+
+def test_timed_cpu_over_wall(monkeypatch):
+    sweep = _load(SCRIPTS / "sweep.py")
+    # fake clocks: each call takes 2 s of wall time and 3 s of process CPU
+    # time, as when a worker thread runs beside the calling one
+    wall, cpu = itertools.count(0, 2), itertools.count(0, 3)
+    clocks = SimpleNamespace(perf_counter=lambda: next(wall), process_time=lambda: next(cpu))
+    monkeypatch.setattr(sweep, "time", clocks)
+    row = sweep.timed(lambda: None, 3, cpu=True)
+    assert row == {"calls": 3, "median_s": 2, "min_s": 2, "cpu_over_wall": 1.5}
