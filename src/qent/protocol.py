@@ -20,7 +20,7 @@ from the table of all 2^n of them by the swap-trick identity
     p(b) = 2^-n sum_S (-1)^{|b & S|} Tr[rho_S^2],
 
 an n-axis Walsh-Hadamard transform (Ekert et al., PRL 88, 217901 (2002)).
-Full-joint mode is capped at n = 12, where the table takes about 0.5 s.
+Full-joint mode is capped at n = 12, where the table takes about 0.1 s.
 ``subset_purities`` remembers the purities it computes on each state, so the
 exact Q, the sampled runs and ``subset_purity_exact`` on one state object
 compute each subset once between them.
@@ -73,7 +73,7 @@ MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 FULL_JOINT_MAX_QUBITS = 14
 
 # full-joint mode reads a table of all 2^n subset purities, which takes about
-# 0.5 s at n = 12, 2 s at n = 13 and 11 s at n = 14 (BENCH_purity.json to 12)
+# 0.1 s at n = 12 (BENCH_purity.json)
 JOINT_MODE_MAX_QUBITS = 12
 
 # conditioning on outcomes rarer than this is treated as impossible

@@ -13,7 +13,10 @@ numbers, ``_check_targets`` for targets and ``_check_cap`` for qubit caps.
 States and matrices are validated on construction and frozen afterwards
 (read-only numpy buffers); every operation returns a fresh object.  The
 tolerance checks are written as ``not deviation <= tol`` so that a NaN
-entry fails them.  Because a state's amplitudes never change, each
+entry fails them.  The density checks (Hermitian, unit trace, eigenvalue
+floor) run in ``DensityMatrix`` only: ``subset_purities``, which every
+purity route reads, computes purities from the validated amplitudes and
+checks nothing more.  Because a state's amplitudes never change, each
 ``PureState`` keeps a private memo of the subset purities computed on it:
 ``subset_purities`` computes a subset once per state object, and every
 later request for it, from any route, is a lookup.
@@ -41,8 +44,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# bounds |<psi|psi> - 1|, the trace of every reduced state of psi, so that a
-# state within it gives reduced states within TRACE_ATOL
+# bounds |<psi|psi> - 1|, which is also the trace of every reduced state of
+# psi; rounding can put that trace just beyond TRACE_ATOL, so a reduced state
+# of a state at this bound can fail DensityMatrix, which the purity routes
+# never build
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -135,38 +140,16 @@ class DensityMatrix:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         mat = _frozen_complex_array(self.entries, (self.dim, self.dim))
-        _check_density_stack(mat[np.newaxis])
+        dev = np.abs(mat - mat.conj().T).max()
+        if not dev <= HERMITIAN_ATOL:
+            raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
+        tr = mat.trace()
+        if not abs(tr - 1.0) <= TRACE_ATOL:
+            raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
+        lo = np.linalg.eigvalsh(mat)[0]
+        if lo < EIGENVALUE_FLOOR:
+            raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR}")
         object.__setattr__(self, "entries", mat)
-
-
-def _check_density_stack(mats: np.ndarray) -> None:
-    """Hermitian, unit-trace and eigenvalue-floor checks on a (k, d, d) stack.
-
-    The one implementation of the density-matrix checks: ``DensityMatrix``
-    runs it on a stack of one, ``subset_purities`` on its whole stack.
-    """
-    k = len(mats)
-    dev = np.abs(mats - mats.conj().swapaxes(1, 2)).reshape(k, -1).max(axis=1)
-    ok = dev <= HERMITIAN_ATOL
-    if not ok.all():
-        i = np.argmin(ok)
-        raise ValueError(f"{_which(i, k)} deviates from Hermitian by {dev[i]:.3e}")
-    tr = mats.trace(axis1=1, axis2=2)
-    ok = np.abs(tr - 1.0) <= TRACE_ATOL
-    if not ok.all():
-        i = np.argmin(ok)
-        of = "" if k == 1 else f" of {_which(i, k)}"
-        raise ValueError(f"trace {tr[i]!r}{of} deviates from 1 beyond {TRACE_ATOL}")
-    lo = np.linalg.eigvalsh(mats)[:, 0]
-    low = lo < EIGENVALUE_FLOOR
-    if low.any():
-        i = np.argmax(low)
-        raise ValueError(f"{_which(i, k)} has eigenvalue {lo[i]:.3e} below {EIGENVALUE_FLOOR}")
-
-
-def _which(i: int, k: int) -> str:
-    """The bad matrix as messages name it: its position only in a stack of several."""
-    return "matrix" if k == 1 else f"matrix {i} of the stack"
 
 
 def _integer(value, what: str = "n_qubits") -> int:
@@ -373,14 +356,15 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
     """Tr[rho_S^2] for each of several same-size qubit subsets S, in the order given.
 
     Every subset is checked on every call, but only those not yet in the
-    state's memo are computed, each once however often it is listed.  Their
-    reduced density matrices are built as one (k, d, d) stack, run through
-    the checks ``DensityMatrix`` applies, and reduced to their purities; the
-    memo takes them only once the whole stack has passed, so a call that
-    raises stores nothing.  Single qubits are read from strided views of the
-    amplitudes; larger subsets are taken in chunks so that the stack's
-    working memory stays near ``_STACK_BYTES`` whatever their number.  A
-    purity does not depend on the stack it was computed in, so the memo
+    state's memo are computed, each once however often it is listed.  Single
+    qubits are read from strided views of the amplitudes; larger subsets are
+    reduced from a (k, d, d) stack of reduced density matrices, taken in
+    chunks so that the stack's working memory stays near ``_STACK_BYTES``
+    whatever their number.  No density check runs on them: they are Gram
+    matrices of a validated state, Hermitian and positive by construction,
+    and only ``DensityMatrix`` checks a matrix.  The memo takes the
+    purities once every chunk is done, so a call that raises stores nothing.
+    A purity does not depend on the stack it was computed in, so the memo
     returns the same bits as a fresh computation, and two threads that race
     on one state at worst compute a subset twice and store the same float.
     The result is a fresh array.
@@ -397,16 +381,14 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
     new = [s for s in dict.fromkeys(subsets) if s not in memo]
     if new:
         if m == 1:
-            stacks = [_qubit_stack(state, [s[0] for s in new])]
+            values = _qubit_purities(state, [s[0] for s in new])
         else:
             chunk = max(1, _STACK_BYTES // (2 * state.amplitudes.nbytes))
-            stacks = (_gram_stack(state, new[i : i + chunk]) for i in range(0, len(new), chunk))
-        purities = []
-        for rho in stacks:
-            _check_density_stack(rho)
+            rhos = (_gram_stack(state, new[i : i + chunk]) for i in range(0, len(new), chunk))
             # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2
-            purities.append((np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1))
-        memo.update(zip(new, np.concatenate(purities).tolist()))
+            values = np.concatenate([(np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1)
+                                     for rho in rhos])
+        memo.update(zip(new, values.tolist()))
     return np.array([memo[s] for s in subsets])
 
 
@@ -421,15 +403,17 @@ def _gram_stack(state: PureState, subsets: list[tuple[int, ...]]) -> np.ndarray:
     return np.matmul(mats, mats.conj().swapaxes(1, 2))
 
 
-def _qubit_stack(state: PureState, qubits: list[int]) -> np.ndarray:
-    """(k, 2, 2) reduced density matrices of single qubits.
+def _qubit_purities(state: PureState, qubits: list[int]) -> np.ndarray:
+    """Tr[rho_q^2] of single qubits, from the entries of rho_q without building it.
 
     No transposed copy of the amplitude vector is made, which a Gram product
     would need for every qubit.  The diagonals come from halving the weight
     vector |a|^2 once per qubit: its two halves hold qubit 0's two weights,
     and their sum is the weight vector of the remaining qubits, so all n take
     O(2^n) work.  rho_01 of qubit q sums a[:, 0, :] conj(a[:, 1, :]) over the
-    amplitudes viewed as (2^q, 2, rest).
+    amplitudes viewed as (2^q, 2, rest).  The four terms are added in the
+    row-major order in which numpy sums the |entries|^2 of a 2x2 matrix, so
+    each purity has the bits of that sum.
     """
     amps = state.amplitudes
     diag = np.empty((state.n_qubits, 2))
@@ -443,10 +427,9 @@ def _qubit_stack(state: PureState, qubits: list[int]) -> np.ndarray:
     for i, q in enumerate(qubits):
         a, c = amps.reshape(2**q, 2, -1), conj.reshape(2**q, 2, -1)
         off[i] = np.einsum("ij,ij->", a[:, 0], c[:, 1])
-    rho = np.empty((len(qubits), 2, 2), dtype=complex)
-    rho[:, 0, 0], rho[:, 1, 1] = diag[qubits].T
-    rho[:, 0, 1], rho[:, 1, 0] = off, off.conj()
-    return rho
+    d0, d1 = diag[qubits].T
+    cross = np.abs(off) ** 2  # |rho_01|^2 = |rho_10|^2
+    return d0**2 + cross + cross + d1**2
 
 
 def inner_product(a: PureState, b: PureState) -> complex:

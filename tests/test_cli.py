@@ -211,6 +211,26 @@ class TestQ:
             for args in commands:
                 assert invoke(runner, *args).exit_code == code, args
 
+    def test_state_at_the_norm_bound_gets_an_answer(self, runner, tmp_path):
+        # squared norm 1 + 1e-10 in rounding: qubit 1's reduced state has trace
+        # 1.0000000001, which a DensityMatrix would reject
+        path = tmp_path / "edge.json"
+        path.write_text(
+            '{"n_qubits":2,"amplitudes":[[0.03180195683636396,0.6020269081337047],'
+            '[-0.059288277489595226,-0.20020454307435884],'
+            '[0.06731214746684369,-0.5114782746133654],'
+            '[-0.5334331054950135,0.20558076265287123]]}'
+        )
+        result = invoke(runner, "q", path)
+        assert result.exit_code == 0
+        q = json.loads(result.output)["q"]
+        assert abs(q["purity"] - q["protocol"]) <= 1e-12
+        # the direct route reads 2 (<psi|psi>^2 - 1) above the purity routes
+        amps = states.load_state(path).amplitudes
+        offset = 2 * (np.vdot(amps, amps).real ** 2 - 1)
+        assert abs(q["direct"] - q["purity"] - offset) <= 1e-12
+        assert invoke(runner, "protocol", path, "--trials", 100).exit_code == 0
+
     def test_single_qubit_state_exits_1(self, runner, tmp_path):
         # Q is undefined without a remainder register to project onto
         path = tmp_path / "one.json"

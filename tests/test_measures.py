@@ -1,5 +1,6 @@
 """Tests for the entanglement measure and Schmidt operations."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -33,8 +34,9 @@ from qent.protocol import (
     subset_purity_circuit,
     subset_purity_exact,
 )
+from qent.states import subset_purities
 
-from conftest import bell_bell, brute_force_wedge, haar_unitary
+from conftest import bell_bell, brute_force_reduced, brute_force_wedge, haar_unitary
 
 
 class TestSplitOnQubit:
@@ -261,8 +263,10 @@ class TestQRoutes:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_norm_tolerance_matches_the_purity_routes(self, sign):
-        # every reduced state of psi has trace <psi|psi>, checked against
-        # TRACE_ATOL, so PureState bounds <psi|psi> - 1 by the same 1e-10
+        # every reduced state of psi has trace <psi|psi>, which PureState
+        # bounds within 1e-10 of 1; rounding can carry that trace past the
+        # equal TRACE_ATOL of DensityMatrix, so the purity routes, which run
+        # no density check, must answer every accepted state
         amps = ghz_state(3).amplitudes
         with pytest.raises(ValueError, match="norm"):
             PureState(3, amps * (1 + sign * 0.9e-10))
@@ -275,6 +279,34 @@ class TestQRoutes:
         for subset in ([0], [0, 2]):
             circuit = subset_purity_circuit(edge, subset)
             assert abs(circuit - subset_purity_exact(edge, subset)) < 1e-9
+        rng = np.random.default_rng(26)
+        for n in range(2, 7):
+            bits = (np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1
+            for _ in range(6):
+                amps = random_state(n, rng).amplitudes * np.sqrt(1 + sign * 1e-10)
+                try:
+                    edge = PureState(n, amps)
+                except ValueError:
+                    continue
+                # the direct route sums det(rho_k) = (<psi|psi>^2 - Tr[rho_k^2]) / 2, so it
+                # reads 2 (<psi|psi>^2 - 1), up to 4e-10, above the purity routes
+                norm2 = np.vdot(edge.amplitudes, edge.amplitudes).real
+                want = q_direct(edge) - 2 * (norm2**2 - 1)
+                for q in (q_purity(edge), q_protocol_exact(edge)):
+                    assert np.isfinite(q) and abs(q - want) < 1e-12
+                purities = {}
+                for m in range(1, n + 1):
+                    subsets = list(itertools.combinations(range(n), m))
+                    got = subset_purities(edge, subsets)
+                    oracle = [np.sum(np.abs(brute_force_reduced(edge, s)) ** 2) for s in subsets]
+                    assert np.isfinite(got).all() and np.max(np.abs(got - oracle)) < 1e-12
+                    purities.update(zip(subsets, oracle))
+                # each ancilla reads "1" with p(-) = (1 - Tr[rho_k^2]) / 2, n Q / 4 in all
+                joint = _joint_distribution(edge)
+                assert np.isfinite(joint).all()
+                p_minus = [(1 - purities[(k,)]) / 2 for k in range(n)]
+                assert np.max(np.abs(joint @ bits - p_minus)) < 1e-12
+                assert abs(joint @ bits.sum(axis=1) - n * want / 4) < 1e-12
 
     def test_bell_bell_and_ghz4_both_maximal(self):
         assert abs(q_purity(bell_bell()) - 1.0) < 1e-12

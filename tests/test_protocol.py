@@ -10,6 +10,7 @@ from scipy import stats as scipy_stats
 from qent import (
     DensityMatrix,
     ProtocolRun,
+    PureState,
     cluster_state,
     convergence_sweep,
     copy_marginal,
@@ -521,6 +522,20 @@ class TestSubsetPurity:
             rho = brute_force_reduced(state, subset)
             expected = float(np.sum(np.abs(rho) ** 2))
             assert abs(subset_purity_exact(state, subset) - expected) < 1e-12
+
+    def test_purity_routes_run_no_eigen_decomposition(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a purity route ran an eigen-decomposition")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        n, amps = 6, random_state(6, rng).amplitudes
+        subsets = [s for m in range(1, n + 1) for s in itertools.combinations(range(n), m)]
+        routes = [q_purity, q_protocol_exact,
+                  lambda state: [subset_purity_exact(state, s) for s in subsets]]
+        routes += [lambda state, mode=mode: run_report(ProtocolRun(state, 1000, 0, mode))
+                   for mode in MODES]
+        for route in routes:
+            route(PureState(n, amps))  # a fresh state, with no purities remembered
 
 
 class TestConvergenceSweep:

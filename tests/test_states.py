@@ -30,7 +30,6 @@ from qent import states
 from qent.protocol import _joint_distribution
 from qent.states import (
     MalformedInput,
-    _check_density_stack,
     _norm2,
     encode_state,
     subset_purities,
@@ -326,17 +325,6 @@ class TestSubsetPurities:
             with pytest.raises(ValueError):
                 subset_purities(state, bad)
 
-    @pytest.mark.parametrize("n", [4, 12])
-    def test_checks_run_on_the_stack(self, rng, n):
-        # scaled after validation: every reduced state has trace 1.01
-        state = random_state(n, rng)
-        object.__setattr__(state, "amplitudes", state.amplitudes * np.sqrt(1.01))
-        for subsets in ([[k] for k in range(n)], [[0, 1], [1, 2]]):
-            for _ in range(2):  # the first call stored nothing, so the second checks again
-                with pytest.raises(ValueError, match="trace"):
-                    subset_purities(state, subsets)
-        assert state._purities == {}
-
 
 def _all_subsets(n: int) -> list[tuple[int, ...]]:
     return [s for m in range(1, n + 1) for s in itertools.combinations(range(n), m)]
@@ -411,14 +399,15 @@ class TestPurityMemo:
         state = random_state(5, rng)
         subsets = list(itertools.combinations(range(5), 2))
         monkeypatch.setattr(states, "_STACK_BYTES", 1)  # one subset per chunk
-        checked = []
+        gram_stack, chunks = states._gram_stack, []
 
-        def check_failing_third(rho):
-            checked.append(rho)
-            if len(checked) == 3:
+        def gram_stack_failing_third(state, chunk):
+            chunks.append(chunk)
+            if len(chunks) == 3:
                 raise ValueError("trace")
+            return gram_stack(state, chunk)
 
-        monkeypatch.setattr(states, "_check_density_stack", check_failing_third)
+        monkeypatch.setattr(states, "_gram_stack", gram_stack_failing_third)
         with pytest.raises(ValueError, match="trace"):
             subset_purities(state, subsets)
         assert state._purities == {}
@@ -433,26 +422,26 @@ class TestPurityMemo:
 
 
 class TestDensityStackCheck:
-    @pytest.mark.parametrize("position", [0, 1, 2])
+    """The density checks, which ``DensityMatrix`` alone runs."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize(
         "defect,message",
         [("hermitian", "deviates from Hermitian"), ("nan", "deviates from Hermitian"),
          ("trace", "deviates from 1"), ("negative", "has eigenvalue")],
     )
-    def test_rejects_a_bad_matrix_at_any_position(self, rng, position, defect, message):
-        stack = np.array([random_density(4, rng).entries for _ in range(3)])
-        bad = stack[position]
+    def test_rejects_each_defect(self, rng, dim, defect, message):
+        bad = random_density(dim, rng).entries.copy()
         if defect == "hermitian":
             bad[0, 1] += 1e-3
         elif defect == "nan":
-            bad[2, 2] = np.nan
+            bad[-1, -1] = np.nan
         elif defect == "trace":
             bad *= 1.5
         else:
-            bad[...] = np.diag([1.5, -0.5, 0.0, 0.0])
-        with pytest.raises(ValueError, match=f"matrix {position} of the stack.*") as info:
-            _check_density_stack(stack)
-        assert message in str(info.value)
+            bad[...] = np.diag([1.5, -0.5] + [0.0] * (dim - 2))
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(dim, bad)
 
     @pytest.mark.parametrize(
         "entries,message",
@@ -466,9 +455,8 @@ class TestDensityStackCheck:
             DensityMatrix(2, np.array(entries))
         assert str(info.value) == message
 
-    def test_accepts_valid_stacks(self, rng):
-        _check_density_stack(np.array([random_density(4, rng).entries for _ in range(3)]))
-        _check_density_stack(np.diag([1 + 5e-10, -5e-10])[np.newaxis])
+    def test_accepts_the_eigenvalue_floor_edge(self):
+        DensityMatrix(4, np.diag([1 + 5e-10, -5e-10, 0.0, 0.0]))
 
 
 class TestPurityAndInner:
