@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 
 import sweep
-from qent import measures, q_direct, random_state, split_on_qubit, wedge_distance
+from qent import measures, q_direct, random_state, wedge_distance
 
 SEED = 20240817
 REPEATS = 15  # timed calls per point
@@ -36,8 +36,8 @@ def _timed(fn) -> dict:
 
 
 def _kernel_row(n: int) -> dict:
-    split = split_on_qubit(random_state(n, SEED), 0)
-    u, v = split.u_tilde, split.v_tilde
+    # qubit 0's remainder vectors are the two halves of the amplitude vector
+    u, v = random_state(n, SEED).amplitudes.reshape(2, -1)
     return {"n": n, "vector_length": u.size, **_timed(lambda: wedge_distance(u, v))}
 
 

@@ -5,7 +5,8 @@ The direct route projects the state on each qubit k,
     |psi> = |0>_k (x) |u~> + |1>_k (x) |v~>,
 
 and sums the squared wedge-product norm of the two (unnormalized) remainder
-vectors,
+vectors, which are the two halves of the middle axis of the amplitudes viewed
+as (2^k, 2, 2^(n-k-1)),
 
     D(u, v) = sum_{i<j} |u_i v_j - u_j v_i|^2,
     Q = (4/n) sum_k D_k.
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, _check_cap, _check_targets, _finite, check_subset, subset_purities
+from .states import PureState, _check_cap, _finite, check_subset, subset_purities
 
 # singular values below this count as numerical noise, not Schmidt rank
 SCHMIDT_RANK_TOL = 1e-8
@@ -64,15 +65,6 @@ _LEFT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0])[:, None]
 
 
 @dataclass(frozen=True)
-class ProjectionSplit:
-    """Remainder vectors of a state projected on one qubit's basis."""
-
-    qubit_index: int
-    u_tilde: np.ndarray  # qubit k in |0>, length 2**(n-1)
-    v_tilde: np.ndarray  # qubit k in |1>
-
-
-@dataclass(frozen=True)
 class SchmidtSpectrum:
     """Schmidt coefficients across a bipartition, sorted descending."""
 
@@ -80,15 +72,6 @@ class SchmidtSpectrum:
 
     def squared(self) -> np.ndarray:
         return self.coefficients**2
-
-
-def split_on_qubit(state: PureState, k: int) -> ProjectionSplit:
-    """Split |psi> = |0>_k (x) u~ + |1>_k (x) v~ (remaining qubits keep order)."""
-    if state.n_qubits < 2:
-        raise ValueError("projection split needs at least 2 qubits")
-    (k,) = _check_targets("projection split", (k,), state.n_qubits)
-    t = np.moveaxis(state.tensor(), k, 0)
-    return ProjectionSplit(k, t[0].reshape(-1).copy(), t[1].reshape(-1).copy())
 
 
 def wedge_distance(u: Sequence, v: Sequence) -> float | np.ndarray:

@@ -24,8 +24,9 @@ Full-joint mode is capped at n = 12, where the table takes about 0.1 s.
 ``subset_purities`` remembers the purities it computes on each state, so the
 exact Q, the sampled runs and ``subset_purity_exact`` on one state object
 compute each subset once between them.
-``joint_outcome_distribution`` and ``subset_purity_circuit`` simulate the
-3n-qubit and (|S| + 2n)-qubit circuits instead and serve only as oracles.
+``subset_purity_circuit`` simulates the (|S| + 2n)-qubit circuit instead
+and serves only as an oracle; the tests build the 3n-qubit circuit oracle
+of the joint distribution on the same ``_controlled_swaps``.
 
 Sampling is seed-deterministic: a run draws from a single PCG64 stream
 (``numpy.random.default_rng(seed)``), so a seed fixes the tally bit for bit.
@@ -60,7 +61,6 @@ from .states import (
     _subset_index,
     apply_unitary,
     check_subset,
-    purity,
     subset_purities,
 )
 
@@ -68,8 +68,9 @@ MODE_EXACT_MARGINAL = "exact-marginal"
 MODE_FULL_JOINT = "full-joint"
 MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 
-# dense-vector feasibility bound for simulating all three registers at once
-# (the joint_outcome_distribution and subset_purity_circuit oracles)
+# dense-vector feasibility bound for simulating the control register and
+# both copies at once (_controlled_swaps, under the subset_purity_circuit
+# oracle and the tests' joint-distribution circuit)
 FULL_JOINT_MAX_QUBITS = 14
 
 # full-joint mode reads a table of all 2^n subset purities, which takes about
@@ -84,18 +85,9 @@ MIN_OUTCOME_PROBABILITY = 1e-12
 # about 1.01 at 2**61 and 1.04 at 2**62 (numpy 2.4)
 MAX_TRIALS = 2**60
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-@dataclass(frozen=True)
-class SwapTestResult:
-    """Ancilla sigma_x outcome probabilities for one swap test."""
-
-    p_plus: float
-    p_minus: float
 
 
 @dataclass(frozen=True)
@@ -155,12 +147,6 @@ class EstimatorStats:
 
 # ---------------------------------------------------------------------------
 # exact statistics
-
-
-def swap_test_exact(rho: DensityMatrix) -> SwapTestResult:
-    """Ancilla outcome probabilities for two copies of ``rho``."""
-    p_plus = (1.0 + purity(rho)) / 2.0
-    return SwapTestResult(p_plus, 1.0 - p_plus)
 
 
 def swap_test_post_state(rho: DensityMatrix, outcome: str) -> DensityMatrix:
@@ -286,23 +272,6 @@ def _joint_distribution(state: PureState) -> np.ndarray:
         halves = table.reshape(2**q, 2, -1)
         table = np.stack((halves[:, 0] + halves[:, 1], halves[:, 0] - halves[:, 1]), axis=1)
     probs = np.clip(table.reshape(-1) / 2**n, 0.0, None)
-    return probs / probs.sum()
-
-
-def joint_outcome_distribution(state: PureState) -> np.ndarray:
-    """Exact joint distribution of the n ancilla bits (index bit j = ancilla j).
-
-    Simulates the full 3n-qubit protocol: ancillas in |+>^n, two copies of
-    the state, a c-SWAP per column, then a Hadamard on each ancilla so the
-    computational bit 1 marks the sigma_x minus outcome.  It is the oracle of
-    ``_joint_distribution``, which the samplers read; no estimator calls it.
-    """
-    n = state.n_qubits
-    joint = _controlled_swaps(lambda: PureState(n, np.full(2**n, 2 ** (-n / 2))), state, range(n))
-    for j in range(n):
-        joint = apply_unitary(joint, _HADAMARD, [j])
-    weights = np.abs(joint.tensor()) ** 2
-    probs = weights.sum(axis=tuple(range(n, 3 * n))).reshape(-1)
     return probs / probs.sum()
 
 

@@ -45,9 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # bounds |<psi|psi> - 1|, which is also the trace of every reduced state of
-# psi; rounding can put that trace just beyond TRACE_ATOL, so a reduced state
-# of a state at this bound can fail DensityMatrix, which the purity routes
-# never build
+# psi; rounding can put that trace just beyond TRACE_ATOL, so DensityMatrix
+# can reject a reduced state of a state at this bound, and no route builds one
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -340,12 +339,6 @@ def apply_unitary(state: PureState, u: np.ndarray, targets: Sequence[int]) -> Pu
     return PureState(state.n_qubits, t.reshape(-1))
 
 
-def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over the complement of ``keep``."""
-    keep = check_subset(keep, state.n_qubits)
-    return DensityMatrix(2 ** len(keep), _gram_stack(state, [keep])[0])
-
-
 def purity(rho: DensityMatrix) -> float:
     """Tr[rho^2]; 1 for pure states, 1/dim for maximally mixed."""
     # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2, manifestly real
@@ -430,13 +423,6 @@ def _qubit_purities(state: PureState, qubits: list[int]) -> np.ndarray:
     d0, d1 = diag[qubits].T
     cross = np.abs(off) ** 2  # |rho_01|^2 = |rho_10|^2
     return d0**2 + cross + cross + d1**2
-
-
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: the
-partial trace and the wedge sum walk basis states and index pairs with
-explicit Python loops, the cluster amplitudes come from expanding the
+brute-force partial trace and the wedge sum walk basis states and index
+pairs with explicit Python loops, the vectorised partial trace contracts
+the state tensor with its conjugate by np.tensordot rather than the
+library's Gram-matrix kernel, the cluster amplitudes come from expanding the
 operator-tagged product form term by term, and pulse matrices are
-cross-checked against scipy's expm.
+cross-checked against scipy's expm.  The joint ancilla distribution is
+simulated gate by gate on the full 3n-qubit register, not read from the
+subset-purity table the samplers use.
 """
 
 import itertools
@@ -12,7 +16,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qent import PureState, DensityMatrix
+from qent import PureState, DensityMatrix, apply_unitary
+from qent.protocol import _controlled_swaps
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @pytest.fixture
@@ -43,6 +50,47 @@ def brute_force_reduced(state: PureState, keep) -> np.ndarray:
             for br in itertools.product((0, 1), repeat=len(rest)):
                 rho[i, j] += amps[assemble(bi, br)] * np.conj(amps[assemble(bj, br)])
     return rho
+
+
+def partial_trace(state: PureState, keep) -> np.ndarray:
+    """rho_keep, its axes in the order of ``keep``, by contracting the other qubits.
+
+    np.tensordot of the state tensor with its conjugate over the complement:
+    fast enough for every subset of small states and the single qubits of
+    large ones, where ``brute_force_reduced`` takes seconds.
+    """
+    keep = list(keep)
+    m = len(keep)
+    t = np.moveaxis(state.tensor(), keep, range(m))
+    rest = range(m, state.n_qubits)
+    return np.tensordot(t, t.conj(), axes=(rest, rest)).reshape(2**m, 2**m)
+
+
+def oracle_purity(state: PureState, keep) -> float:
+    """Tr[rho_keep^2] of the ``partial_trace`` oracle, as sum |rho_ij|^2."""
+    return float(np.sum(np.abs(partial_trace(state, keep)) ** 2))
+
+
+def remainders(state: PureState, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit k's remainder vectors: |psi> = |0>_k (x) u + |1>_k (x) v, other qubits in order."""
+    t = np.moveaxis(state.tensor(), k, 0)
+    return t[0].reshape(-1), t[1].reshape(-1)
+
+
+def joint_outcome_distribution(state: PureState) -> np.ndarray:
+    """Exact joint distribution of the n ancilla bits (index bit j = ancilla j).
+
+    Simulates the full 3n-qubit protocol: ancillas in |+>^n, two copies of
+    the state, a c-SWAP per column, then a Hadamard on each ancilla so that
+    the computational bit 1 marks the sigma_x minus outcome.
+    """
+    n = state.n_qubits
+    joint = _controlled_swaps(lambda: PureState(n, np.full(2**n, 2 ** (-n / 2))), state, range(n))
+    for j in range(n):
+        joint = apply_unitary(joint, _HADAMARD, [j])
+    weights = np.abs(joint.tensor()) ** 2
+    probs = weights.sum(axis=tuple(range(n, 3 * n))).reshape(-1)
+    return probs / probs.sum()
 
 
 def brute_force_wedge(u, v) -> float:

@@ -26,14 +26,11 @@ from qent import (
     cluster_state,
     cswap_sequence,
     ghz_state,
-    joint_outcome_distribution,
     q_direct,
     random_product_state,
     random_state,
-    reduced_density,
     schmidt_spectrum,
     sequence_unitary,
-    split_on_qubit,
     subset_purities,
     subset_purity_circuit,
     subset_purity_exact,
@@ -52,13 +49,11 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # each takes one qubit index q, with its other targets 0 and 2 of a 3-qubit register
 ENTRY_POINTS = {
-    "reduced_density": lambda q: reduced_density(STATE, [q]),
     "subset_purities": lambda q: subset_purities(STATE, [[q]]),
     "subset_purity_exact": lambda q: subset_purity_exact(STATE, [q]),
     "subset_purity_circuit": lambda q: subset_purity_circuit(STATE, [q]),
     "schmidt_spectrum": lambda q: schmidt_spectrum(STATE, [q]),
     "apply_unitary": lambda q: apply_unitary(STATE, X, [q]),
-    "split_on_qubit": lambda q: split_on_qubit(STATE, q),
     "canonical_swap": lambda q: canonical_swap(q, 2, 3),
     "canonical_cswap": lambda q: canonical_cswap(0, q, 2, 3),
     "zzz_unitary": lambda q: zzz_unitary(0.3, 0, q, 2, 3),
@@ -99,9 +94,9 @@ CAPS = {
         lambda: ProtocolRun(ghz_state(JOINT_MODE_MAX_QUBITS + 1), 10, 0, MODE_FULL_JOINT),
         JOINT_MODE_MAX_QUBITS,
     ),
-    # three registers of 5 qubits
+    # one control qubit and two copies of 7 qubits
     "FULL_JOINT_MAX_QUBITS": (
-        lambda: joint_outcome_distribution(ghz_state(5)), FULL_JOINT_MAX_QUBITS
+        lambda: subset_purity_circuit(ghz_state(7), [0]), FULL_JOINT_MAX_QUBITS
     ),
 }
 

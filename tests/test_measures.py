@@ -14,62 +14,59 @@ from qent import (
     cluster_state,
     ghz_state,
     product_state,
-    purity,
     q_direct,
     q_protocol_exact,
     q_purity,
     random_product_state,
     random_state,
-    reduced_density,
     schmidt_number,
     schmidt_spectrum,
-    split_on_qubit,
     w_state,
     wedge_distance,
 )
 from qent import measures
-from qent.protocol import (
-    _joint_distribution,
-    joint_outcome_distribution,
-    subset_purity_circuit,
-    subset_purity_exact,
-)
+from qent.protocol import _joint_distribution, subset_purity_circuit, subset_purity_exact
 from qent.states import subset_purities
 
-from conftest import bell_bell, brute_force_reduced, brute_force_wedge, haar_unitary
+from conftest import (
+    bell_bell,
+    brute_force_reduced,
+    brute_force_wedge,
+    haar_unitary,
+    joint_outcome_distribution,
+    oracle_purity,
+    partial_trace,
+    remainders,
+)
 
 
 class TestSplitOnQubit:
+    """The projection split |psi> = |0>_k (x) u~ + |1>_k (x) v~ of the tests' remainders."""
+
     def test_basis_state(self):
-        s = split_on_qubit(product_state([(1, 0), (1, 0)]), 0)
-        assert np.allclose(s.u_tilde, [1, 0]) and np.allclose(s.v_tilde, [0, 0])
+        u, v = remainders(product_state([(1, 0), (1, 0)]), 0)
+        assert np.allclose(u, [1, 0]) and np.allclose(v, [0, 0])
 
     def test_ghz2(self):
-        s = split_on_qubit(ghz_state(2), 0)
-        assert np.allclose(s.u_tilde, [1 / np.sqrt(2), 0])
-        assert np.allclose(s.v_tilde, [0, 1 / np.sqrt(2)])
+        u, v = remainders(ghz_state(2), 0)
+        assert np.allclose(u, [1 / np.sqrt(2), 0])
+        assert np.allclose(v, [0, 1 / np.sqrt(2)])
 
     def test_w3_middle_qubit(self):
         # remaining pair keeps order (qubit 0, qubit 2)
-        s = split_on_qubit(w_state(3), 1)
+        u, v = remainders(w_state(3), 1)
         r = 1 / np.sqrt(3)
-        assert np.allclose(s.u_tilde, [0, r, r, 0])  # |01>, |10> of the pair
-        assert np.allclose(s.v_tilde, [r, 0, 0, 0])  # |00>
+        assert np.allclose(u, [0, r, r, 0])  # |01>, |10> of the pair
+        assert np.allclose(v, [r, 0, 0, 0])  # |00>
 
     def test_reassembles_the_state(self, rng):
         state = random_state(4, rng)
         for k in range(4):
-            s = split_on_qubit(state, k)
-            t = np.stack([s.u_tilde.reshape([2] * 3), s.v_tilde.reshape([2] * 3)])
+            u, v = remainders(state, k)
+            t = np.stack([u.reshape([2] * 3), v.reshape([2] * 3)])
             rebuilt = np.moveaxis(t, 0, k).reshape(-1)
             assert np.allclose(rebuilt, state.amplitudes, atol=1e-12)
-            assert abs(np.vdot(s.u_tilde, s.u_tilde) + np.vdot(s.v_tilde, s.v_tilde) - 1) < 1e-10
-
-    def test_rejects_bad_input(self, rng):
-        with pytest.raises(ValueError):
-            split_on_qubit(random_state(1, rng), 0)
-        with pytest.raises(ValueError):
-            split_on_qubit(random_state(3, rng), 3)
+            assert abs(np.vdot(u, u) + np.vdot(v, v) - 1) < 1e-10
 
 
 def _normalized_pair(u, v):
@@ -201,8 +198,7 @@ class TestWedgeSum:
     )
     def test_q_direct_equals_one_pair_per_qubit(self, make, n):
         state = make(n)
-        splits = [split_on_qubit(state, k) for k in range(n)]
-        expected = 4 / n * sum(wedge_distance(s.u_tilde, s.v_tilde) for s in splits)
+        expected = 4 / n * sum(wedge_distance(*remainders(state, k)) for k in range(n))
         assert abs(q_direct(state) - expected) <= 1e-13 * expected
 
     def test_q_direct_peak_memory_is_bounded(self):
@@ -337,9 +333,8 @@ class TestQRoutes:
         for _ in range(5):
             state = random_state(4, rng)
             for k in range(4):
-                s = split_on_qubit(state, k)
-                d = wedge_distance(s.u_tilde, s.v_tilde)
-                deficit = (1 - purity(reduced_density(state, [k]))) / 2
+                d = wedge_distance(*remainders(state, k))
+                deficit = (1 - oracle_purity(state, [k])) / 2
                 assert abs(d - deficit) < 1e-10
 
     def test_local_unitary_invariance(self, rng):
@@ -359,10 +354,10 @@ class TestQRoutes:
         # Q vanishes exactly when every single-qubit marginal stays pure
         prod = random_product_state(4, rng)
         assert q_purity(prod) < 1e-9
-        assert all(purity(reduced_density(prod, [k])) > 1 - 1e-9 for k in range(4))
+        assert all(oracle_purity(prod, [k]) > 1 - 1e-9 for k in range(4))
         ent = ghz_state(4)
         assert q_purity(ent) > 1e-9
-        assert any(purity(reduced_density(ent, [k])) < 1 - 1e-9 for k in range(4))
+        assert any(oracle_purity(ent, [k]) < 1 - 1e-9 for k in range(4))
 
     def test_rejects_single_qubit(self, rng):
         with pytest.raises(ValueError):
@@ -390,13 +385,13 @@ class TestSchmidt:
 
         spec = schmidt_spectrum(bell_pair(), [0])
         assert np.allclose(spec.squared(), [0.5, 0.5])
-        assert np.isclose(purity(reduced_density(bell_pair(), [0])), 0.5)
+        assert np.isclose(oracle_purity(bell_pair(), [0]), 0.5)
 
     def test_squared_values_match_reduced_eigenvalues(self, rng):
         state = random_state(5, rng)
         for part_a in ([0], [1, 3], [0, 2, 4]):
             sq = np.sort(schmidt_spectrum(state, part_a).squared())[::-1]
-            eig = np.sort(np.linalg.eigvalsh(reduced_density(state, part_a).entries))[::-1]
+            eig = np.sort(np.linalg.eigvalsh(partial_trace(state, part_a)))[::-1]
             padded = np.zeros(eig.size)
             padded[: sq.size] = sq  # the cut can have fewer coefficients than dim(A)
             assert np.allclose(padded, eig, atol=1e-9)

@@ -15,7 +15,6 @@ from qent import (
     convergence_sweep,
     copy_marginal,
     ghz_state,
-    joint_outcome_distribution,
     minus_probabilities,
     product_state,
     purity,
@@ -24,11 +23,9 @@ from qent import (
     q_purity,
     random_product_state,
     random_state,
-    reduced_density,
     sample_outcomes,
     subset_purity_circuit,
     subset_purity_exact,
-    swap_test_exact,
     swap_test_post_state,
     w_state,
 )
@@ -46,29 +43,37 @@ from qent.protocol import (
     tally_outcomes,
 )
 
-from conftest import bell_bell, brute_force_reduced, random_density
+from conftest import (
+    bell_bell,
+    bell_pair,
+    brute_force_reduced,
+    joint_outcome_distribution,
+    oracle_purity,
+    random_density,
+)
 
 
 class TestSwapTestExact:
+    """p(+) = (1 + Tr[rho_k^2]) / 2 of one qubit's swap test, exactly and by the circuit."""
+
+    @staticmethod
+    def p_plus(state, k):
+        exact = 1.0 - minus_probabilities(state)[k]
+        circuit = (1.0 + subset_purity_circuit(state, [k])) / 2.0
+        assert abs(exact - circuit) < 1e-9
+        return exact
+
     def test_pure_state_always_plus(self, rng):
-        psi = random_state(1, rng)
-        rho = DensityMatrix(2, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        result = swap_test_exact(rho)
-        assert np.isclose(result.p_plus, 1.0)
-        assert np.isclose(result.p_minus, 0.0)
+        state = random_product_state(3, rng)
+        for k in range(3):
+            assert np.isclose(self.p_plus(state, k), 1.0)
 
     def test_maximally_mixed_qubit(self):
-        result = swap_test_exact(DensityMatrix(2, np.eye(2) / 2))
-        assert np.isclose(result.p_plus, 0.75)
+        for k in range(2):
+            assert np.isclose(self.p_plus(bell_pair(), k), 0.75)
 
     def test_ghz3_reduced_qubit(self):
-        rho = reduced_density(ghz_state(3), [1])
-        assert np.isclose(swap_test_exact(rho).p_plus, 0.75)
-
-    def test_probabilities_sum_to_one(self, rng):
-        for dim in (2, 4):
-            result = swap_test_exact(random_density(dim, rng))
-            assert abs(result.p_plus + result.p_minus - 1.0) < 1e-12
+        assert np.isclose(self.p_plus(ghz_state(3), 1), 0.75)
 
 
 class TestSwapTestPostState:
@@ -270,10 +275,10 @@ class TestJointTable:
             assert abs(probs @ bits.sum(axis=1) - n * q_purity(state) / 4) < 1e-12
 
     def test_samplers_never_run_the_circuit_simulation(self, monkeypatch):
-        def forbidden(state):
-            raise AssertionError("joint_outcome_distribution ran")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a circuit simulation ran")
 
-        monkeypatch.setattr(protocol, "joint_outcome_distribution", forbidden)
+        monkeypatch.setattr(protocol, "_controlled_swaps", forbidden)
         run = ProtocolRun(ghz_state(3), 1000, 1, MODE_FULL_JOINT)
         tally_outcomes(run)
         sample_outcomes(run)
@@ -477,9 +482,9 @@ class TestSubsetPurity:
         state = random_state(3, rng)
         for k in range(3):
             direct = subset_purity_exact(state, [k])
-            assert abs(direct - purity(reduced_density(state, [k]))) < 1e-12
+            assert abs(direct - oracle_purity(state, [k])) < 1e-12
             circuit = subset_purity_circuit(state, [k])
-            expected_p_plus = swap_test_exact(reduced_density(state, [k])).p_plus
+            expected_p_plus = 1 - minus_probabilities(state)[k]
             assert abs((1 + circuit) / 2 - expected_p_plus) < 1e-9
 
     def test_whole_register_purity_is_one(self, rng):
@@ -510,7 +515,7 @@ class TestSubsetPurity:
     def test_exact_skips_infeasible_circuit(self, rng):
         state = random_state(7, rng)
         value = subset_purity_exact(state, [0, 1])
-        assert abs(value - purity(reduced_density(state, [0, 1]))) < 1e-15
+        assert abs(value - oracle_purity(state, [0, 1])) < 1e-15
 
     def test_exact_runs_no_circuit(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

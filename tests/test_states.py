@@ -14,14 +14,12 @@ from qent import (
     apply_unitary,
     cluster_state,
     ghz_state,
-    inner_product,
     load_state,
     product_state,
     purity,
     q_purity,
     random_product_state,
     random_state,
-    reduced_density,
     save_state,
     subset_purity_exact,
     w_state,
@@ -40,6 +38,8 @@ from conftest import (
     brute_force_reduced,
     cluster_product_expansion,
     haar_unitary,
+    oracle_purity,
+    partial_trace,
     random_density,
 )
 
@@ -186,8 +186,8 @@ class TestFactories:
 
     def test_random_product_state_has_unit_purities(self, rng):
         state = random_product_state(5, rng)
-        for k in range(5):
-            assert abs(purity(reduced_density(state, [k])) - 1.0) < 1e-10
+        purities = subset_purities(state, [[k] for k in range(5)])
+        assert np.max(np.abs(purities - 1.0)) < 1e-10
 
 
 class TestApplyUnitary:
@@ -240,51 +240,54 @@ class TestApplyUnitary:
 
 
 class TestReducedDensity:
+    """Reduced states from the tests' partial_trace oracle, and the purities read from them."""
+
     def test_product_state_single_qubit_is_pure(self, rng):
         state = random_product_state(4, rng)
         for k in range(4):
-            rho = reduced_density(state, [k])
+            rho = DensityMatrix(2, partial_trace(state, [k]))
             assert abs(purity(rho) - 1.0) < 1e-10
 
     def test_ghz_single_qubit_maximally_mixed(self):
         for n in (2, 3, 5):
             for k in range(n):
-                rho = reduced_density(ghz_state(n), [k])
-                assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+                assert np.allclose(partial_trace(ghz_state(n), [k]), np.eye(2) / 2, atol=1e-12)
 
     def test_w3_qubit0_diagonal(self):
-        rho = reduced_density(w_state(3), [0])
-        assert np.allclose(rho.entries, np.diag([2 / 3, 1 / 3]), atol=1e-12)
+        rho = partial_trace(w_state(3), [0])
+        assert np.allclose(rho, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
-        state = random_state(5, rng)
-        for keep in ([0], [2], [0, 3], [1, 2, 4], [0, 1, 2, 3]):
-            rho = reduced_density(state, keep)
-            assert np.allclose(rho.entries, brute_force_reduced(state, keep), atol=1e-12)
+        for n in range(1, 6):
+            state = random_state(n, rng)
+            for m in range(1, n + 1):
+                for keep in itertools.combinations(range(n), m):
+                    # the kept axes follow the order given, sorted or not
+                    for order in (keep, keep[::-1]):
+                        want = brute_force_reduced(state, order)
+                        assert np.allclose(partial_trace(state, order), want, atol=1e-12)
 
     def test_schmidt_symmetry_of_spectra(self, rng):
         # nonzero eigenvalues of the two sides of any bipartition agree
         state = random_state(5, rng)
         for part_a in ([0], [1, 3], [0, 2, 4]):
             part_b = [q for q in range(5) if q not in part_a]
-            eig_a = np.sort(np.linalg.eigvalsh(reduced_density(state, part_a).entries))[::-1]
-            eig_b = np.sort(np.linalg.eigvalsh(reduced_density(state, part_b).entries))[::-1]
+            eig_a = np.sort(np.linalg.eigvalsh(partial_trace(state, part_a)))[::-1]
+            eig_b = np.sort(np.linalg.eigvalsh(partial_trace(state, part_b)))[::-1]
             m = min(len(eig_a), len(eig_b))
             assert np.allclose(eig_a[:m], eig_b[:m], atol=1e-9)
             assert np.allclose(eig_a[m:], 0, atol=1e-9) and np.allclose(eig_b[m:], 0, atol=1e-9)
 
     def test_single_qubit_purity_bounds(self, rng):
         for _ in range(5):
-            state = random_state(4, rng)
-            for k in range(4):
-                p = purity(reduced_density(state, [k]))
-                assert 0.5 - 1e-12 <= p <= 1 + 1e-10
+            purities = subset_purities(random_state(4, rng), [[k] for k in range(4)])
+            assert np.all((0.5 - 1e-12 <= purities) & (purities <= 1 + 1e-10))
 
     def test_rejects_invalid_subsets(self, rng):
         state = random_state(3, rng)
         for bad in ([], [3], [-1], [1, 1], [2, 0], [0.5], [True], ["1"]):
             with pytest.raises(ValueError):
-                reduced_density(state, bad)
+                subset_purities(state, [bad])
 
 
 def _families(n: int, rng) -> list:
@@ -298,14 +301,14 @@ class TestSubsetPurities:
         for state in _families(n, rng):
             for m in range(1, n + 1):
                 subsets = list(itertools.combinations(range(n), m))
-                want = [purity(reduced_density(state, s)) for s in subsets]
+                want = [oracle_purity(state, s) for s in subsets]
                 assert np.max(np.abs(subset_purities(state, subsets) - want)) < 1e-14
 
     @pytest.mark.parametrize("n", [10, 11, 13])
     def test_single_qubits_of_larger_states(self, rng, n):
         for state in _families(n, rng):
             got = subset_purities(state, [[k] for k in range(n)])
-            want = [purity(reduced_density(state, [k])) for k in range(n)]
+            want = [oracle_purity(state, [k]) for k in range(n)]
             assert np.max(np.abs(got - want)) < 1e-14
             # a fresh copy, so that the two-qubit stack is computed, not read from the memo
             fresh = PureState(state.n_qubits, state.amplitudes)
@@ -465,22 +468,6 @@ class TestPurityAndInner:
         proj = np.outer([1, 0], [1, 0]).astype(complex)
         assert np.isclose(purity(DensityMatrix(2, proj)), 1.0)
         assert np.isclose(purity(DensityMatrix(2, np.diag([2 / 3, 1 / 3]))), 5 / 9)
-
-    def test_inner_product(self, rng):
-        state = random_state(3, rng)
-        assert np.isclose(inner_product(state, state), 1.0)
-        zero = product_state([(1, 0)] * 2)
-        one = product_state([(0, 1)] * 2)
-        assert inner_product(zero, one) == 0
-        assert np.isclose(inner_product(ghz_state(2), zero), 1 / np.sqrt(2))
-
-    def test_inner_product_conjugate_linear_in_first(self, rng):
-        a, b = random_state(2, rng), random_state(2, np.random.default_rng(3))
-        assert np.isclose(inner_product(a, b), np.conj(inner_product(b, a)))
-
-    def test_inner_product_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(ghz_state(2), ghz_state(3))
 
 
 class TestStateFiles:
