@@ -39,7 +39,6 @@ of an n-qubit state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,16 +61,6 @@ _WEDGE_BLOCK_BYTES = 1 << 19
 # and their signs
 _LEFT_ROWS = np.array([2, 3, 0, 1, 3, 2, 1, 0])
 _LEFT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0])[:, None]
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Schmidt coefficients across a bipartition, sorted descending."""
-
-    coefficients: np.ndarray
-
-    def squared(self) -> np.ndarray:
-        return self.coefficients**2
 
 
 def wedge_distance(u: Sequence, v: Sequence) -> float | np.ndarray:
@@ -164,8 +153,8 @@ def _check_measurable(state: PureState) -> int:
     return state.n_qubits
 
 
-def schmidt_spectrum(state: PureState, part_a: Sequence[int]) -> SchmidtSpectrum:
-    """Singular values of the amplitude matrix across (part_a | complement)."""
+def schmidt_spectrum(state: PureState, part_a: Sequence[int]) -> np.ndarray:
+    """Schmidt coefficients across (part_a | complement): read-only, sorted descending."""
     part_a = check_subset(part_a, state.n_qubits)
     if len(part_a) >= state.n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
@@ -173,11 +162,11 @@ def schmidt_spectrum(state: PureState, part_a: Sequence[int]) -> SchmidtSpectrum
     m = np.transpose(state.tensor(), list(part_a) + rest).reshape(2 ** len(part_a), -1)
     sv = np.linalg.svd(m, compute_uv=False)
     sv.setflags(write=False)
-    return SchmidtSpectrum(sv)
+    return sv
 
 
 def schmidt_number(state: PureState, part_a: Sequence[int], tol: float = SCHMIDT_RANK_TOL) -> int:
     """Count of Schmidt coefficients above ``tol``, a finite real >= 0, across the cut."""
     if _finite(tol, "tol") < 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    return int(np.sum(schmidt_spectrum(state, part_a).coefficients > tol))
+    return int(np.sum(schmidt_spectrum(state, part_a) > tol))

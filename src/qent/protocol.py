@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,7 @@ from .states import (
     PureState,
     _bits,
     _check_cap,
+    _integer,
     _norm2,
     _subset_index,
     apply_unitary,
@@ -102,8 +102,8 @@ class ProtocolRun:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_integral(self.n_trials, "n_trials")
-        _check_seed(self.seed)
+        object.__setattr__(self, "n_trials", _integer(self.n_trials, "n_trials"))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials > MAX_TRIALS:
@@ -115,17 +115,12 @@ class ProtocolRun:
                        JOINT_MODE_MAX_QUBITS, "it reads all 2**n subset purities")
 
 
-def _check_integral(value, field: str) -> None:
-    # the tally draws take int64 counts and an integer seed; a fraction would fail in them
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-
-
-def _check_seed(seed) -> None:
-    """The seed rule of a sampled run: an integer (not a bool) >= 0."""
-    _check_integral(seed, "seed")
+def _check_seed(seed) -> int:
+    """The seed of a sampled run as an int >= 0 (``states._integer``)."""
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ def convergence_sweep(
     ``SeedSequence((seed, index))`` so the sweep is reproducible while
     counts stay uncorrelated.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if not trial_counts:
         raise ValueError("convergence sweep needs at least one trial count")
     if any(b <= a for a, b in zip(trial_counts, trial_counts[1:])):
@@ -320,7 +315,7 @@ def convergence_sweep(
     for i, count in enumerate(trial_counts):
         sub = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
         stats = q_protocol_sampled(ProtocolRun(state, count, sub))
-        rows.append((count, abs(stats.estimate - q_exact)))
+        rows.append((stats.n_trials, abs(stats.estimate - q_exact)))
     return rows
 
 

@@ -11,11 +11,11 @@ Sign conventions (fixed package-wide, no hidden normalization):
 Under these conventions the three sequences built here reproduce their
 canonical gates exactly up to a global phase (the SWAP construction carries
 e^{i pi/4}, the c-SWAP carries e^{-i pi/8}; the three-body construction is
-exact).  The c-SWAP sequence is the SWAP sequence with each coupling
-replaced by its controlled counterpart, itself built on the three-body
-construction.  Scalar phase prefactors are not stored as pulses, but the
-e^{-i pi/8 sigma_z} factor on the control qubit of the c-SWAP is a physical
-pulse and is kept.
+exact), which ``phase_aligned_deviation`` measures.  The c-SWAP sequence is
+the SWAP sequence with each coupling replaced by its controlled
+counterpart, itself built on the three-body construction.  Scalar phase
+prefactors are not stored as pulses, but the e^{-i pi/8 sigma_z} factor on
+the control qubit of the c-SWAP is a physical pulse and is kept.
 
 Matrix realization: ``sequence_unitary`` applies each pulse to the running
 product in place of a dense pulse matrix, O(4^r) per pulse on r qubits.  A
@@ -260,22 +260,11 @@ def interaction_time(seq: PulseSequence, model: CouplingModel) -> float:
     return total / model.g
 
 
-def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """True iff u = e^{i alpha} v within ``tol``, a finite real > 0.
-
-    Requires both |Tr(u^dag v)|/dim > 1 - tol and, after aligning v by the
-    trace phase, max elementwise deviation < tol * dim, so near-degenerate
-    traces cannot pass on the trace condition alone.
-    """
-    if _finite(tol, "tol") <= 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    deviation = phase_aligned_deviation(u, v)
-    dim = len(u)
-    return abs(np.vdot(u, v)) / dim > 1 - tol and deviation < tol * dim
-
-
 def phase_aligned_deviation(u: np.ndarray, v: np.ndarray) -> float:
-    """max |u - e^{-i alpha} v| with alpha the phase of Tr(u^dag v)."""
+    """max |u - e^{-i alpha} v| with alpha the phase of Tr(u^dag v).
+
+    u equals v up to global phase when this is < tol, the rule ``qent verify`` applies.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:

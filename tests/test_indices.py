@@ -24,6 +24,7 @@ from qent import (
     canonical_cswap,
     canonical_swap,
     cluster_state,
+    convergence_sweep,
     cswap_sequence,
     ghz_state,
     q_direct,
@@ -35,6 +36,7 @@ from qent import (
     subset_purity_circuit,
     subset_purity_exact,
     swap_sequence,
+    tally_outcomes,
     three_body_sequence,
     w_state,
     zzz_unitary,
@@ -75,12 +77,22 @@ FACTORIES = {
     "PureState": lambda n: PureState(n, STATE.amplitudes),
 }
 
-# each takes a size: a 3-qubit register, or the dimension 2 of a density matrix
+
+def sampled(n_trials, seed):
+    run = ProtocolRun(STATE, n_trials, seed)
+    return run, tally_outcomes(run)
+
+
+# each takes a size: a 3-qubit register, the dimension 2 of a density matrix,
+# a trial count or a seed
 SIZES = {
     "canonical_swap": (lambda r: canonical_swap(0, 2, r), 3, "register_size"),
     "canonical_cswap": (lambda r: canonical_cswap(0, 1, 2, r), 3, "register_size"),
     "zzz_unitary": (lambda r: zzz_unitary(0.3, 0, 1, 2, r), 3, "register_size"),
     "DensityMatrix": (lambda d: DensityMatrix(d, np.eye(2) / 2), 2, "dim"),
+    "ProtocolRun-n_trials": (lambda t: sampled(t, 7), 3, "n_trials"),
+    "ProtocolRun-seed": (lambda s: sampled(3, s), 7, "seed"),
+    "convergence_sweep-seed": (lambda s: tuple(convergence_sweep(STATE, [10, 100], s)), 5, "seed"),
 }
 
 # each builds a register one qubit past the cap it names; none allocates first
@@ -174,5 +186,5 @@ def test_input_rules_live_in_states(module):
     if module.name == "states.py":
         assert text.count("exceeds the cap") == 1
     else:
-        for rule in ("exceeds the cap", "math.isfinite", "numbers.Real"):
+        for rule in ("exceeds the cap", "math.isfinite", "numbers.Real", "numbers.Integral"):
             assert rule not in text, f"{module.name} writes its own {rule!r} rule"

@@ -459,7 +459,7 @@ class TestTallyDistribution:
             ProtocolRun(state, 10**20, 0)
         assert ProtocolRun(state, 2**60, 0).n_trials == MAX_TRIALS
 
-    @pytest.mark.parametrize("n_trials", [2.7, 3.0, True])
+    @pytest.mark.parametrize("n_trials", [2.7, True])
     def test_rejects_non_integer_trials(self, n_trials):
         with pytest.raises(ValueError, match="integer"):
             ProtocolRun(ghz_state(2), n_trials, 0)
@@ -580,6 +580,10 @@ class TestConvergenceSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "n_trials,abs_error"
         assert lines[1].startswith("100,0.25")
+        # integral floats are parsed, and the rows carry the parsed counts
+        rows = convergence_sweep(ghz_state(2), [10.0, 100.0], seed=5.0)
+        assert rows == convergence_sweep(ghz_state(2), [10, 100], seed=5)
+        assert sweep_csv(rows).split("\n")[1].startswith("10,")
 
 
 class TestRunReport:
