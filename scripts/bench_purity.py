@@ -37,7 +37,7 @@ from qent import (
     random_state,
     tally_outcomes,
 )
-from qent.protocol import MODE_FULL_JOINT
+from qent.protocol import JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
 
 MIN_N = 4
 MIN_JOINT_N = 2
@@ -90,8 +90,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="Section name, e.g. before or after.")
     parser.add_argument("--max-n", type=int, default=20, help="Largest n of the purity sweep.")
-    parser.add_argument("--max-joint-n", type=int, default=12,
-                        help="Largest n of the full-joint sweep.")
+    parser.add_argument("--max-joint-n", type=int, default=JOINT_MODE_MAX_QUBITS + 1,
+                        help="Largest n of the full-joint sweep (default: one past the cap).")
     parser.add_argument("--save", default=None, help="Write the p(-) vectors to this .npz file.")
     parser.add_argument("--reference", default=None,
                         help="Compare against p(-) vectors saved by --save in another checkout.")

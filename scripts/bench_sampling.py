@@ -11,7 +11,7 @@ the purities computed on it, so each timed call gets a run on a fresh copy
 of the state, built outside the timed region; the ``repeat_`` columns time
 run_report again on one run, which reads the purities back.  Full-joint mode
 reads the 2^n subset-purity table and accepts n up to JOINT_MODE_MAX_QUBITS
-= 12.  POINTS keeps its one point at n = 4, the cap when full-joint mode
+(13).  POINTS keeps its one point at n = 4, the cap when full-joint mode
 simulated 3n qubits, so that every section of BENCH_sampling.json has the
 same points.  All of it runs in one process.  The labelled section (with
 the command, interpreter, numpy version and host) is merged into --out,

@@ -204,7 +204,7 @@ def verify(target, phi, g, sign_tunable, sequence_file, tol, as_json, out):
 @click.option("--mode", type=click.Choice(["exact", "joint"]), default="exact",
               show_default=True,
               help="exact per-qubit marginals, or the full joint ancilla distribution "
-                   "(n <= 12).")
+                   f"(n <= {protocol.JOINT_MODE_MAX_QUBITS}).")
 @click.option("--subset", type=str, default=None,
               help="Comma-separated qubit subset: run the subset-purity protocol instead.")
 @click.option("--sweep", type=str, default=None,

@@ -20,7 +20,7 @@ from the table of all 2^n of them by the swap-trick identity
     p(b) = 2^-n sum_S (-1)^{|b & S|} Tr[rho_S^2],
 
 an n-axis Walsh-Hadamard transform (Ekert et al., PRL 88, 217901 (2002)).
-Full-joint mode is capped at n = 12, where the table takes about 0.1 s.
+Full-joint mode is capped at n = 13, where the table takes about 0.4 s.
 ``subset_purities`` remembers the purities it computes on each state, so the
 exact Q, the sampled runs and ``subset_purity_exact`` on one state object
 compute each subset once between them.
@@ -28,15 +28,15 @@ compute each subset once between them.
 and serves only as an oracle; the tests build the 3n-qubit circuit oracle
 of the joint distribution on the same ``_controlled_swaps``.
 
-Sampling is seed-deterministic: a run draws from a single PCG64 stream
-(``numpy.random.default_rng(seed)``), so a seed fixes the tally bit for bit.
-The estimator needs only two integer tallies, the number of "1"s on each
-ancilla and the histogram of per-trial counts, and ``tally_outcomes``
-draws them from their exact distribution without drawing the trials:
-n(n+1)/2 binomial draws in exact-marginal mode, one multinomial over the
-2^n ancilla patterns in full-joint mode.  Time and memory are flat in the
-trial count.  ``sample_outcomes`` draws the full (trials x n) stream in
-one draw, as the per-trial oracle; no estimator calls it.  Every trial
+Sampling is seed-deterministic: ``states._check_seed`` parses a run's seed
+and ``states._generator`` builds its one PCG64 stream, so a seed fixes the
+tally bit for bit.  The estimator needs only two integer tallies, the number
+of "1"s on each ancilla and the histogram of per-trial counts, and
+``tally_outcomes`` draws them from their exact distribution without drawing
+the trials: n(n+1)/2 binomial draws in exact-marginal mode, one multinomial
+over the 2^n ancilla patterns in full-joint mode.  Time and memory are flat
+in the trial count.  ``sample_outcomes`` draws the full (trials x n) stream
+in one draw, as the per-trial oracle; no estimator calls it.  Every trial
 consumes fresh copies of the state; register reuse (and the
 depolarize-and-reset it would need) is not modeled.
 """
@@ -56,6 +56,8 @@ from .states import (
     PureState,
     _bits,
     _check_cap,
+    _check_seed,
+    _generator,
     _integer,
     _norm2,
     _subset_index,
@@ -74,8 +76,8 @@ MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 FULL_JOINT_MAX_QUBITS = 14
 
 # full-joint mode reads a table of all 2^n subset purities, which takes about
-# 0.1 s at n = 12 (BENCH_purity.json)
-JOINT_MODE_MAX_QUBITS = 12
+# 0.4 s at n = 13 and 1.9 s at n = 14 (BENCH_purity.json)
+JOINT_MODE_MAX_QUBITS = 13
 
 # conditioning on outcomes rarer than this is treated as impossible
 MIN_OUTCOME_PROBABILITY = 1e-12
@@ -107,25 +109,16 @@ class ProtocolRun:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_trials > MAX_TRIALS:
-            raise ValueError(
-                f"n_trials must be <= 2**60 (int64 binomial draws), got {self.n_trials}"
-            )
+            raise ValueError(f"n_trials must be <= 2**60 (int64 binomial draws), "
+                             f"got {self.n_trials}")
         if self.mode == MODE_FULL_JOINT:
             _check_cap("full-joint mode", self.state.n_qubits, "JOINT_MODE_MAX_QUBITS",
                        JOINT_MODE_MAX_QUBITS, "it reads all 2**n subset purities")
 
 
-def _check_seed(seed) -> int:
-    """The seed of a sampled run as an int >= 0 (``states._integer``)."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeTally:
-    """Integer counts of a sampled run: all that the estimator reads."""
+    """Integer counts of a sampled run: all that the estimator reads (compared by identity)."""
 
     minus_counts: np.ndarray  # per qubit: trials whose ancilla read "1"
     count_histogram: np.ndarray  # index k: trials with exactly k "1"s
@@ -204,7 +197,7 @@ def sample_outcomes(run: ProtocolRun) -> np.ndarray:
     stream's counts but is drawn without it; no estimator calls it.
     """
     n = run.state.n_qubits
-    rng = np.random.default_rng(run.seed)
+    rng = _generator(run.seed)
     if run.mode == MODE_FULL_JOINT:
         joint = _joint_distribution(run.state)
         return _bits(rng.choice(joint.size, run.n_trials, p=joint), n)
@@ -223,7 +216,7 @@ def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
     the 2^n ancilla patterns and reduces them to the two tallies.
     """
     n = run.state.n_qubits
-    rng = np.random.default_rng(run.seed)
+    rng = _generator(run.seed)
     if run.mode == MODE_FULL_JOINT:
         patterns = rng.multinomial(run.n_trials, _joint_distribution(run.state))
         bits = _bits(np.arange(2**n), n)
@@ -306,6 +299,7 @@ def convergence_sweep(
     counts stay uncorrelated.
     """
     seed = _check_seed(seed)
+    trial_counts = [_integer(count, "n_trials") for count in trial_counts]
     if not trial_counts:
         raise ValueError("convergence sweep needs at least one trial count")
     if any(b <= a for a, b in zip(trial_counts, trial_counts[1:])):

@@ -444,13 +444,13 @@ class TestProtocol:
         assert invoke(runner, "protocol", path, "--subset", "zero").exit_code == 1
 
     def test_joint_mode_beyond_bound_fails(self, runner, tmp_path):
-        path = tmp_path / "g13.json"
+        path = tmp_path / "beyond.json"
         invoke(runner, "gen", "ghz", "--n", protocol.JOINT_MODE_MAX_QUBITS + 1, "--out", path)
         result = invoke(runner, "protocol", path, "--trials", 10, "--mode", "joint")
         assert result.exit_code == 1
-        assert "JOINT_MODE_MAX_QUBITS = 12" in result.output
+        assert f"JOINT_MODE_MAX_QUBITS = {protocol.JOINT_MODE_MAX_QUBITS}" in result.output
 
-    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("n", [5, protocol.JOINT_MODE_MAX_QUBITS])
     def test_joint_mode_runs_up_to_the_cap(self, runner, tmp_path, n):
         path = tmp_path / f"g{n}.json"
         invoke(runner, "gen", "ghz", "--n", n, "--out", path)

@@ -3,8 +3,10 @@
 An index, count or size is a Python int, a numpy integer or an integral float
 (``states._integer``); a fraction, a bool or a string is rejected with a
 ValueError at every entry point instead of being truncated or failing later
-with a TypeError.  Every qubit cap raises through ``states._check_cap``, and
-no other module writes a cap message or its own finiteness test.
+with a TypeError.  A seed is such an integer >= 0 (``states._check_seed``),
+and every random generator is built from one by ``states._generator``.  Every
+qubit cap raises through ``states._check_cap``, and no other module writes a
+cap message, its own finiteness test or its own seed rule.
 """
 
 import dataclasses
@@ -93,7 +95,13 @@ SIZES = {
     "ProtocolRun-n_trials": (lambda t: sampled(t, 7), 3, "n_trials"),
     "ProtocolRun-seed": (lambda s: sampled(3, s), 7, "seed"),
     "convergence_sweep-seed": (lambda s: tuple(convergence_sweep(STATE, [10, 100], s)), 5, "seed"),
+    "convergence_sweep-n_trials": (
+        lambda c: tuple(convergence_sweep(STATE, [c, 100], 5)), 10, "n_trials"
+    ),
 }
+
+# the factories that take a seed, where None (fresh entropy) stays valid
+SEEDED = {"random_state": random_state, "random_product_state": random_product_state}
 
 # each builds a register one qubit past the cap it names; none allocates first
 CAPS = {
@@ -171,6 +179,34 @@ def test_integral_float_size_equals_int(entry):
     assert_same(build(float(size)), build(size))
 
 
+@pytest.mark.parametrize("bad", ["3", True], ids=["str", "bool"])
+@pytest.mark.parametrize("factory", SEEDED)
+def test_non_integer_seed_rejected(factory, bad):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SEEDED[factory](3, bad)
+
+
+@pytest.mark.parametrize("factory", SEEDED)
+def test_negative_seed_rejected(factory):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        SEEDED[factory](3, -1)
+
+
+@pytest.mark.parametrize("seed", [7.0, np.int64(7)], ids=str)
+@pytest.mark.parametrize("factory", SEEDED)
+def test_integral_seed_equals_int(factory, seed):
+    assert_same(SEEDED[factory](3, seed), SEEDED[factory](3, 7))
+
+
+@pytest.mark.parametrize("factory", SEEDED)
+def test_generator_used_as_given(factory):
+    gen = np.random.default_rng(7)
+    assert_same(SEEDED[factory](3, gen), SEEDED[factory](3, 7))
+    # the factory drew from gen itself, not from a copy
+    assert gen.bit_generator.state != np.random.default_rng(7).bit_generator.state
+    assert SEEDED[factory](3, None).n_qubits == 3
+
+
 @pytest.mark.parametrize("name", CAPS)
 def test_caps_share_one_message(name):
     build, cap = CAPS[name]
@@ -186,5 +222,6 @@ def test_input_rules_live_in_states(module):
     if module.name == "states.py":
         assert text.count("exceeds the cap") == 1
     else:
-        for rule in ("exceeds the cap", "math.isfinite", "numbers.Real", "numbers.Integral"):
+        for rule in ("exceeds the cap", "math.isfinite", "numbers.Real", "numbers.Integral",
+                     "def _check_seed", "np.random.default_rng("):
             assert rule not in text, f"{module.name} writes its own {rule!r} rule"

@@ -226,7 +226,8 @@ class TestSampling:
 
     def test_full_joint_feasibility_bound(self, rng):
         state = random_state(JOINT_MODE_MAX_QUBITS + 1, rng)
-        with pytest.raises(ValueError, match="full-joint.*JOINT_MODE_MAX_QUBITS = 12"):
+        with pytest.raises(ValueError,
+                           match=f"full-joint.*JOINT_MODE_MAX_QUBITS = {JOINT_MODE_MAX_QUBITS}"):
             ProtocolRun(state, 10, 0, MODE_FULL_JOINT)
 
     @pytest.mark.parametrize("n", [5, JOINT_MODE_MAX_QUBITS])

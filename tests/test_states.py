@@ -10,6 +10,7 @@ import pytest
 
 from qent import (
     DensityMatrix,
+    ProtocolRun,
     PureState,
     apply_unitary,
     cluster_state,
@@ -75,6 +76,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_values_compare_by_identity(self):
+        state, twin = ghz_state(3), ghz_state(3)
+        assert state != twin
+        assert state == state and hash(state) == hash(state)
+        assert state in [twin, state] and twin not in [state]
+        assert ProtocolRun(state, 10, 1) == ProtocolRun(state, 10, 1)
+        assert hash(ProtocolRun(state, 10, 1)) == hash(ProtocolRun(state, 10, 1))
+        assert ProtocolRun(state, 10, 1) != ProtocolRun(twin, 10, 1)
+
     def test_density_matrix_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(2, np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -125,7 +135,7 @@ class TestFactories:
         # each factor's squared norm 1 + 0.9e-10 is within NORM_ATOL, their product is not
         f = np.sqrt(1 + 0.9e-10) * np.array([1.0, 0.0])
         assert abs(product_state([f]).amplitudes[0]) > 1.0
-        with pytest.raises(ValueError, match=r"the factor squared norms \[1\.00000000009"):
+        with pytest.raises(ValueError, match=r"state squared norm 1\.00000000018\d* deviates"):
             product_state([f, f])
 
     def test_ghz_amplitudes(self):
@@ -288,6 +298,8 @@ class TestReducedDensity:
         for bad in ([], [3], [-1], [1, 1], [2, 0], [0.5], [True], ["1"]):
             with pytest.raises(ValueError):
                 subset_purities(state, [bad])
+        with pytest.raises(ValueError, match=r"qubit subset \(1, 0\) must be strictly increasing"):
+            subset_purities(state, [[1, 0]])
 
 
 def _families(n: int, rng) -> list:
