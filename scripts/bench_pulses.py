@@ -5,16 +5,20 @@ Run from the root of each checkout to measure and compare:
     PYTHONPATH=src python3 scripts/bench_pulses.py --label before --save u_before.npz
     PYTHONPATH=src python3 scripts/bench_pulses.py --label after --reference u_before.npz
 
-For each register size r in 3..--max-r it embeds the 51-pulse c-SWAP
-sequence on qubits (0, r // 2, r - 1) of an r-qubit register and times
-sequence_unitary on it (median of several calls; one call is timed at the
-largest sizes, where a call takes seconds).  --save writes the unitaries to
-an .npz file; --reference reads such a file and records the largest
-elementwise difference from it for every r, so a second checkout can be
-checked for identical output.  Each r also records the phase-aligned
-deviation from canonical_cswap.  The labelled section (with the command,
-interpreter, numpy version and host) is merged into --out, keeping the other
-sections.
+The small-register section times the three gates at their own register
+sizes, as a library session builds and checks them: swap_sequence(0, 1),
+three_body_sequence(0.3, 0, 1, 2) and cswap_sequence(0, 1, 2), each call
+building the sequence, wrapping its pulses again in a PulseSequence and
+realizing it with sequence_unitary (median of many calls).  Then, for each
+register size r in 3..--max-r, it embeds the 51-pulse c-SWAP sequence on
+qubits (0, r // 2, r - 1) of an r-qubit register and times sequence_unitary
+on it (median of several calls; one call is timed at the largest sizes,
+where a call takes seconds).  --save writes the unitaries to an .npz file;
+--reference reads such a file and records the largest elementwise difference
+from it for every gate and every r, so a second checkout can be checked for
+identical output.  Each row also records the phase-aligned deviation from its
+canonical gate.  The labelled section (with the command, interpreter, numpy
+version and host) is merged into --out, keeping the other sections.
 """
 
 from __future__ import annotations
@@ -28,12 +32,25 @@ import sweep
 from qent import (
     PulseSequence,
     canonical_cswap,
+    canonical_swap,
     cswap_sequence,
     phase_aligned_deviation,
     sequence_unitary,
+    swap_sequence,
+    three_body_sequence,
+    zzz_unitary,
 )
 
 MIN_R = 3
+PHI = 0.3
+# name: (sequence builder, register size, canonical gate)
+GATES = {
+    "swap": (lambda: swap_sequence(0, 1), 2, lambda: canonical_swap(0, 1, 2)),
+    "three_body": (lambda: three_body_sequence(PHI, 0, 1, 2), 3,
+                   lambda: zzz_unitary(PHI, 0, 1, 2, 3)),
+    "cswap": (lambda: cswap_sequence(0, 1, 2), 3, lambda: canonical_cswap(0, 1, 2, 3)),
+}
+GATE_REPEATS = 201
 
 
 def _repeats(r: int) -> int:
@@ -53,6 +70,19 @@ def _row(r: int, reference) -> tuple[dict, np.ndarray]:
     return row, u
 
 
+def _gate_row(name: str, reference) -> tuple[dict, np.ndarray]:
+    build, r, canonical = GATES[name]
+    last = {}
+    row = {"gate": name, "r": r, "pulses": len(build().pulses),
+           **sweep.timed(lambda: last.update(
+               u=sequence_unitary(PulseSequence(build().pulses, r))), GATE_REPEATS)}
+    u = last["u"]
+    row["deviation_from_canonical"] = phase_aligned_deviation(canonical(), u)
+    if reference is not None:
+        row["max_abs_diff_vs_reference"] = float(np.max(np.abs(u - reference[name])))
+    return row, u
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="Section name, e.g. before or after.")
@@ -64,7 +94,13 @@ def main() -> None:
     args = parser.parse_args()
 
     reference = np.load(args.reference) if args.reference else None
-    rows, unitaries = [], {}
+    gate_rows, unitaries = [], {}
+    for name in GATES:
+        row, unitaries[name] = _gate_row(name, reference)
+        gate_rows.append(row)
+        print(f"{name:10s}  median {row['median_s'] * 1e6:10.1f} us  "
+              f"diff vs reference {row.get('max_abs_diff_vs_reference', '-')}", flush=True)
+    rows = []
     for r in range(MIN_R, args.max_r + 1):
         row, unitaries[f"r{r}"] = _row(r, reference)
         rows.append(row)
@@ -77,7 +113,8 @@ def main() -> None:
     command += f" --max-r {args.max_r}"
     if args.reference:
         command += f" --reference {Path(args.reference).name}"
-    sweep.write_section(args.out, args.label, command, sequence_unitary=rows)
+    sweep.write_section(args.out, args.label, command, small_registers=gate_rows,
+                        sequence_unitary=rows)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ as (2^k, 2, 2^(n-k-1)),
     D(u, v) = sum_{i<j} |u_i v_j - u_j v_i|^2,
     Q = (4/n) sum_k D_k.
 
-The purity route uses Q = 2 (1 - mean_k Tr[rho_k^2]).  Both are exposed so
-each can serve as an oracle for the other.  D is evaluated from the pairwise
+The purity route uses Q = 2 (1 - mean_k Tr[rho_k^2]).  Both read the
+normalized state psi / |psi|: D_k and Tr[rho_k^2] of psi are <psi|psi>^2
+times theirs, and both routes divide that out.  Both are exposed so each can
+serve as an oracle for the other.  D is evaluated from the pairwise
 terms themselves, never from the Lagrange identity
 D = <u|u><v|v> - |<u|v>|^2, which the tests use as an independent check.
 
@@ -119,7 +121,7 @@ def _wedge_sum(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def q_direct(state: PureState) -> float:
-    """Q from the projection splits: (4/n) sum_k D(u~_k, v~_k)."""
+    """Q from the projection splits: (4/n) sum_k D(u~_k, v~_k), of psi / |psi|."""
     n = _check_measurable(state)
     _check_cap("direct route", n, "DIRECT_MAX_QUBITS", DIRECT_MAX_QUBITS,
                "it takes O(4^n) time; use q_purity (--route purity)")
@@ -136,7 +138,8 @@ def q_direct(state: PureState) -> float:
             pairs[:, row].reshape(2, 2**k, -1)[...] = (
                 state.amplitudes.reshape(2**k, 2, -1).transpose(1, 0, 2))
         total += np.add.reduce(wedge_distance(pairs[0], pairs[1]))
-    return 4.0 / n * total
+    # D_k of psi is <psi|psi>^2 times D_k of psi / |psi|, which the other routes read
+    return 4.0 / n * (total / state._squared_norm**2)
 
 
 def q_purity(state: PureState) -> float:

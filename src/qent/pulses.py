@@ -17,12 +17,17 @@ counterpart, itself built on the three-body construction.  Scalar phase
 prefactors are not stored as pulses, but the e^{-i pi/8 sigma_z} factor on
 the control qubit of the c-SWAP is a physical pulse and is kept.
 
-Matrix realization: ``sequence_unitary`` applies each pulse to the running
-product in place of a dense pulse matrix, O(4^r) per pulse on r qubits.  A
-coupling on (a, b), a < b, multiplies the product viewed as (2^a, 2,
-2^(b-a-1), 2, rest) in place by exp(+i angle) where the two qubit axes agree
-and exp(-i angle) where they differ; a rotation is one 2x2 step,
-cos(angle) I + i sin(angle) sigma on the product viewed as (2^q, 2, rest).
+Matrix realization: one private kernel, ``_apply_pulses``, applies a pulse
+list to an array whose leading axis spans the register, a state vector or the
+running product; ``sequence_unitary`` is that kernel applied to the identity.
+It builds every pulse's factor once, before its loop: the stack of 2x2
+matrices cos(angle) I + sin(angle) i sigma_axis of all rotations, and the
+phases exp(+i angle Z_a Z_b) of all couplings.  Then each pulse is one numpy
+call, O(2^r) per column on r qubits.  A coupling on (a, b), a < b,
+multiplies the array viewed as (2^a, 2, 2^(b-a-1), 2, rest) in place by its
+phases, exp(+i angle) where the two qubit axes agree and exp(-i angle) where
+they differ; a rotation is one 2x2 step on the array viewed as (2^q, 2,
+rest), written into a second buffer that then swaps places with the first.
 Every dense unitary built here, the product and the canonical gates, is
 refused above ``UNITARY_MAX_QUBITS`` = 13 qubits before it is allocated;
 a ``PulseSequence`` itself may span any register.  Indices and sizes follow
@@ -53,12 +58,8 @@ from .states import (MalformedInput, _bits, _check_cap, _check_targets, _encode_
                      _integer, _parse_json, _real)
 
 AXES = ("x", "y", "z")
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_IDENTITY = np.eye(2, dtype=complex)
+# i sigma_axis for each axis of AXES, in that order
+_GENERATORS = 1j * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Z_a Z_b on the qubit axes of the (2^a, 2, 2^(b-a-1), 2, rest) view of a product
 _ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 2, 1)
 # largest register of a dense unitary: one 2^13 x 2^13 complex matrix is 1 GiB,
@@ -119,11 +120,20 @@ class PulseSequence:
     register_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
+        pulses = tuple(self.pulses)
+        object.__setattr__(self, "pulses", pulses)
         size = _integer(self.register_size, "register_size")
         object.__setattr__(self, "register_size", size)
-        for p in self.pulses:
-            _check_targets("pulse", (p.qubit,) if isinstance(p, Rotation) else p.qubits, size)
+        # the pulses hold their qubits as ints, a coupling's two distinct, so
+        # the range of all targets is the whole check; a pulse of another type
+        # or a target out of range is checked, and reported, pulse by pulse
+        rotated = [p.qubit for p in pulses if type(p) is Rotation]
+        targets = [q for p in pulses if type(p) is IsingCoupling for q in p.qubits]
+        typed = len(rotated) + len(targets) // 2 == len(pulses)
+        targets += rotated
+        if not (typed and min(targets, default=0) >= 0 and max(targets, default=0) < size):
+            for p in pulses:
+                _check_targets("pulse", (p.qubit,) if isinstance(p, Rotation) else p.qubits, size)
 
 
 @dataclass(frozen=True)
@@ -150,15 +160,35 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
         raise ValueError("pulse sequence is empty")
     _check_cap("sequence unitary", seq.register_size, "UNITARY_MAX_QUBITS", UNITARY_MAX_QUBITS,
                _DENSE_WHY)
-    u = np.eye(2**seq.register_size, dtype=complex)
-    for p in seq.pulses:
+    return _apply_pulses(np.eye(2**seq.register_size, dtype=complex), seq.pulses)
+
+
+def _apply_pulses(arr: np.ndarray, pulses) -> np.ndarray:
+    """The pulses applied in order to ``arr``, whose leading axis spans the register.
+
+    ``arr`` is a (2^r,) state vector or a (2^r, 2^r) running product, and is
+    overwritten; the result is ``arr`` itself or a buffer of its shape.  Every
+    factor is built before the loop, so each pulse is one numpy call.
+    """
+    rotations = [p for p in pulses if isinstance(p, Rotation)]
+    couplings = [p for p in pulses if not isinstance(p, Rotation)]
+    # cos(angle) I + sin(angle) i sigma_axis, and exp(i angle Z_a Z_b) on the qubit axes
+    angles = np.array([p.angle for p in rotations])[:, None, None]
+    generators = _GENERATORS[[AXES.index(p.axis) for p in rotations]]
+    local = np.cos(angles) * np.eye(2) + np.sin(angles) * generators
+    phase = np.exp(1j * np.array([p.angle for p in couplings])[:, None, None, None, None] * _ZZ)
+    spare = np.empty_like(arr) if rotations else None
+    local, phase = iter(local), iter(phase)
+    for p in pulses:
         if isinstance(p, Rotation):
-            local = math.cos(p.angle) * _IDENTITY + 1j * math.sin(p.angle) * _PAULI[p.axis]
-            u = np.matmul(local, u.reshape(2**p.qubit, 2, -1)).reshape(u.shape)
+            shape = (2**p.qubit, 2, -1)
+            np.matmul(next(local), arr.reshape(shape), out=spare.reshape(shape))
+            arr, spare = spare, arr
         else:
             a, b = sorted(p.qubits)
-            u.reshape(2**a, 2, 2 ** (b - a - 1), 2, -1)[...] *= np.exp(1j * p.angle * _ZZ)
-    return u
+            view = arr.reshape(2**a, 2, 2 ** (b - a - 1), 2, -1)
+            np.multiply(view, next(phase), out=view)
+    return arr
 
 
 # ---------------------------------------------------------------------------

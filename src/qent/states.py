@@ -19,7 +19,10 @@ purity route reads, computes purities from the validated amplitudes and
 checks nothing more.  Because a state's amplitudes never change, each
 ``PureState`` keeps a private memo of the subset purities computed on it:
 ``subset_purities`` computes a subset once per state object, and every
-later request for it, from any route, is a lookup.
+later request for it, from any route, is a lookup.  Every route reads the
+normalized state psi / |psi|: ``PureState`` keeps the <psi|psi> of its norm
+check, and ``subset_purities`` and ``measures.q_direct`` divide it out, so a
+state anywhere within ``NORM_ATOL`` gets one Q from all three routes.
 
 This module is the only one that knows the state-file format,
 ``{"n_qubits": n, "amplitudes": [[re, im], ...]}``.  Files are written
@@ -86,7 +89,8 @@ class PureState:
     """Normalized complex amplitude vector over ``n_qubits`` qubits (compared by identity).
 
     ``_purities``, set here and not a field, is the memo of ``subset_purities``:
-    subset tuple to Tr[rho_S^2].
+    subset tuple to Tr[rho_S^2] of the normalized state.  ``_squared_norm``,
+    also set here, is <psi|psi>, which the routes divide out.
     """
 
     n_qubits: int
@@ -105,6 +109,7 @@ class PureState:
             raise ValueError(f"state squared norm {norm2!r} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_purities", {})
+        object.__setattr__(self, "_squared_norm", norm2)
 
     @property
     def dim(self) -> int:
@@ -200,7 +205,13 @@ def _check_cap(what: str, qubits: int, name: str, cap: int, why: str) -> None:
 
 def check_subset(indices: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     """Validate a qubit subset: the targets of ``_check_targets``, strictly increasing."""
-    subset = _check_targets("qubit subset", indices, n_qubits)
+    subset = tuple([_integer(t, "qubit subset target") for t in indices])
+    # strictly increasing from >= 0 to < n implies distinct and in range; a
+    # single qubit, the commonest subset, needs no pairwise walk
+    if subset and subset[0] >= 0 and subset[-1] < n_qubits and (
+            len(subset) == 1 or all(a < b for a, b in zip(subset, subset[1:]))):
+        return subset
+    subset = _check_targets("qubit subset", subset, n_qubits)
     if any(b <= a for a, b in zip(subset, subset[1:])):
         raise ValueError(f"qubit subset {subset} must be strictly increasing")
     return subset
@@ -352,7 +363,7 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Tr[rho_S^2] for each of several same-size qubit subsets S, in the order given.
+    """Tr[rho_S^2] of psi / |psi| for each of several same-size qubit subsets S, in order.
 
     Every subset is checked on every call, but only those not yet in the
     state's memo are computed, each once however often it is listed.  Single
@@ -387,7 +398,9 @@ def subset_purities(state: PureState, subsets: Sequence[Sequence[int]]) -> np.nd
             # Hermitian rho: Tr[rho^2] = sum |rho_ij|^2
             values = np.concatenate([(np.abs(rho) ** 2).reshape(len(rho), -1).sum(axis=1)
                                      for rho in rhos])
-        memo.update(zip(new, values.tolist()))
+        # rho_S of psi has trace <psi|psi>, so Tr[rho_S^2] is <psi|psi>^2
+        # times that of psi / |psi|, which every route reads
+        memo.update(zip(new, (values / state._squared_norm**2).tolist()))
     return np.array([memo[s] for s in subsets])
 
 

@@ -1,9 +1,12 @@
 """Tests for pulse sequences, gate constructions, and time accounting."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qent.pulses import (
@@ -14,6 +17,7 @@ from qent.pulses import (
     PulseSequence,
     Rotation,
     canonical_cswap,
+    _apply_pulses,
     canonical_swap,
     cswap_sequence,
     interaction_time,
@@ -84,6 +88,33 @@ class TestPulseUnitary:
         with pytest.raises(ValueError):
             sequence_unitary(PulseSequence((IsingCoupling(0.1, (0, 3)),), 3))
 
+    _RANGE = "targets must be nonempty and lie in"
+
+    @pytest.mark.parametrize("pulses, r, message", [
+        ((Rotation("x", 0.1, 2),), 2, f"pulse targets (2,) invalid for a 2-qubit register: "
+                                      f"{_RANGE} [0, 2)"),
+        ((Rotation("x", 0.1, -1),), 2, f"pulse targets (-1,) invalid for a 2-qubit register: "
+                                       f"{_RANGE} [0, 2)"),
+        ((Rotation("x", 0.1, 0), IsingCoupling(0.1, (3, 0))), 3,
+         f"pulse targets (3, 0) invalid for a 3-qubit register: {_RANGE} [0, 3)"),
+        ((IsingCoupling(0.1, (-1, 1)), Rotation("y", 0.2, 5)), 3,
+         f"pulse targets (-1, 1) invalid for a 3-qubit register: {_RANGE} [0, 3)"),
+    ], ids=["rotation-past-the-end", "rotation-negative", "coupling-past-the-end",
+            "first-bad-pulse-reported"])
+    def test_out_of_register_targets_keep_their_message(self, pulses, r, message):
+        with pytest.raises(ValueError) as info:
+            PulseSequence(pulses, r)
+        assert str(info.value) == message
+
+    def test_pulses_of_a_subclass_are_checked_one_by_one(self):
+        @dataclasses.dataclass(frozen=True)
+        class Tagged(Rotation):
+            tag: str = ""
+
+        assert PulseSequence((Tagged("x", 0.1, 1, "a"),), 2).register_size == 2
+        with pytest.raises(ValueError, match=r"pulse targets \(2,\) invalid for a 2-qubit"):
+            PulseSequence((Rotation("x", 0.1, 0), Tagged("x", 0.1, 2, "a")), 2)
+
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             Rotation("q", 0.1, 0)
@@ -130,6 +161,46 @@ class TestSequenceUnitary:
             for p in seq.pulses:
                 expected = expm_oracle(p, r) @ expected
             assert np.max(np.abs(sequence_unitary(seq) - expected)) < 1e-12
+
+
+@st.composite
+def _sequences(draw, max_r: int = 5) -> PulseSequence:
+    r = draw(st.integers(1, max_r))
+    angles = st.floats(-4.0, 4.0)
+    kinds = [st.builds(Rotation, st.sampled_from(AXES), angles, st.integers(0, r - 1))]
+    if r >= 2:
+        pairs = st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True)
+        kinds.append(st.builds(IsingCoupling, angles, pairs.map(tuple)))
+    return PulseSequence(tuple(draw(st.lists(st.one_of(kinds), min_size=1, max_size=30))), r)
+
+
+class TestApplyPulses:
+    """The pulse kernel on state vectors, against the matrix it builds and scipy's expm."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sequences(), st.integers(0, 2**32 - 1))
+    def test_state_vector_matches_the_unitary(self, seq, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2**seq.register_size
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        got = _apply_pulses(psi.copy(), seq.pulses)
+        assert got.shape == psi.shape
+        assert np.max(np.abs(got - sequence_unitary(seq) @ psi)) < 1e-12
+
+    @pytest.mark.parametrize("arr", [np.arange(4, dtype=complex), np.eye(8, dtype=complex)],
+                             ids=["vector", "matrix"])
+    def test_empty_pulse_list_returns_its_input(self, arr):
+        want = arr.copy()
+        got = _apply_pulses(arr, ())
+        assert got is arr and (got == want).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sequences())
+    def test_unitary_matches_the_expm_product(self, seq):
+        expected = np.eye(2**seq.register_size)
+        for p in seq.pulses:
+            expected = expm_oracle(p, seq.register_size) @ expected
+        assert np.max(np.abs(sequence_unitary(seq) - expected)) < 1e-12
 
 
 class TestPulseIndices:

@@ -301,6 +301,37 @@ class TestReducedDensity:
         with pytest.raises(ValueError, match=r"qubit subset \(1, 0\) must be strictly increasing"):
             subset_purities(state, [[1, 0]])
 
+    _RANGE = "invalid for a 3-qubit register: targets must be nonempty and lie in [0, 3)"
+
+    @pytest.mark.parametrize("bad, message", [
+        ([3], f"qubit subset targets (3,) {_RANGE}"),
+        ([0, 5, 1], f"qubit subset targets (0, 5, 1) {_RANGE}"),
+        ([-1], f"qubit subset targets (-1,) {_RANGE}"),
+        ([1, 1], "qubit subset targets (1, 1) invalid for a 3-qubit register: "
+                 "targets contain duplicates"),
+        ([2, 0], "qubit subset (2, 0) must be strictly increasing"),
+        ((q for q in (2, 0)), "qubit subset (2, 0) must be strictly increasing"),
+        ([], f"qubit subset targets () {_RANGE}"),
+        ([True], "qubit subset target must be an integer, got True"),
+        ([0.5], "qubit subset target must be an integer, got 0.5"),
+    ], ids=["past-the-end", "past-the-end-inside", "negative", "duplicated", "unsorted",
+            "unsorted-generator", "empty", "bool", "non-integral-float"])
+    def test_invalid_subsets_keep_their_messages(self, rng, bad, message):
+        with pytest.raises(ValueError) as info:
+            subset_purities(random_state(3, rng), [bad])
+        assert str(info.value) == message
+
+    def test_numpy_integer_and_generator_subsets_are_accepted(self, rng):
+        state = random_state(3, rng)
+        want = subset_purities(PureState(3, state.amplitudes), [(0, 2)])
+        assert states.check_subset(np.array([0, 2]), 3) == (0, 2)
+        assert all(type(q) is int for q in states.check_subset(np.array([0, 2]), 3))
+        assert (subset_purities(state, [np.array([0, 2])]) == want).all()
+        # a one-shot iterable is read once, and gives the tuple's purity
+        fresh = PureState(3, state.amplitudes)
+        assert (subset_purities(fresh, [(q for q in (0, 2))]) == want).all()
+        assert sorted(fresh._purities) == [(0, 2)]
+
 
 def _families(n: int, rng) -> list:
     return [random_state(n, rng), cluster_state(n), ghz_state(n), w_state(n),
