@@ -35,10 +35,9 @@ of "1"s on each ancilla and the histogram of per-trial counts, and
 ``tally_outcomes`` draws them from their exact distribution without drawing
 the trials: n(n+1)/2 binomial draws in exact-marginal mode, one multinomial
 over the 2^n ancilla patterns in full-joint mode.  Time and memory are flat
-in the trial count.  ``sample_outcomes`` draws the full (trials x n) stream
-in one draw, as the per-trial oracle; no estimator calls it.  Every trial
-consumes fresh copies of the state; register reuse (and the
-depolarize-and-reset it would need) is not modeled.
+in the trial count; the per-trial oracle that draws the (trials x n) stream
+lives in the tests.  Every trial consumes fresh copies of the state;
+register reuse (and the depolarize-and-reset it would need) is not modeled.
 """
 
 from __future__ import annotations
@@ -70,10 +69,11 @@ MODE_EXACT_MARGINAL = "exact-marginal"
 MODE_FULL_JOINT = "full-joint"
 MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 
-# dense-vector feasibility bound for simulating the control register and
-# both copies at once (_controlled_swaps, under the subset_purity_circuit
-# oracle and the tests' joint-distribution circuit)
-FULL_JOINT_MAX_QUBITS = 14
+# dense-vector bound of the circuit simulation in _controlled_swaps: its
+# control register and both copies form one vector (the subset_purity_circuit
+# oracle and the tests' joint-distribution circuit; full-joint mode has its
+# own cap, JOINT_MODE_MAX_QUBITS)
+CIRCUIT_MAX_QUBITS = 14
 
 # full-joint mode reads a table of all 2^n subset purities, which takes about
 # 0.4 s at n = 13 and 1.9 s at n = 14 (BENCH_purity.json)
@@ -184,24 +184,6 @@ def q_protocol_exact(state: PureState) -> float:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def sample_outcomes(run: ProtocolRun) -> np.ndarray:
-    """Boolean array (n_trials, n_qubits): True where ancilla j read "1".
-
-    exact-marginal mode draws each ancilla independently from its exact
-    p(-); full-joint mode samples the joint ancilla distribution that
-    ``tally_outcomes`` reads, preserving inter-qubit outcome correlations.
-    The array grows with n_trials.  It is the per-trial oracle of
-    ``tally_outcomes``, whose tally has the same distribution as this
-    stream's counts but is drawn without it; no estimator calls it.
-    """
-    n = run.state.n_qubits
-    rng = _generator(run.seed)
-    if run.mode == MODE_FULL_JOINT:
-        joint = _joint_distribution(run.state)
-        return _bits(rng.choice(joint.size, run.n_trials, p=joint), n)
-    return rng.random((run.n_trials, n)) < minus_probabilities(run.state)
 
 
 def tally_outcomes(run: ProtocolRun) -> OutcomeTally:
@@ -362,7 +344,7 @@ def _controlled_swaps(control, state: PureState, columns) -> PureState:
     squared norm 1 +- 0.9e-10 passes ``PureState``, but psi (x) psi would not.
     """
     m, n = len(columns), state.n_qubits
-    _check_cap("circuit simulation", m + 2 * n, "FULL_JOINT_MAX_QUBITS", FULL_JOINT_MAX_QUBITS,
+    _check_cap("circuit simulation", m + 2 * n, "CIRCUIT_MAX_QUBITS", CIRCUIT_MAX_QUBITS,
                "its control register and two copies of the state form one dense vector")
     doubled = np.kron(state.amplitudes, state.amplitudes)
     joint = PureState(m + 2 * n, np.kron(control().amplitudes, doubled / np.sqrt(_norm2(doubled))))
@@ -373,7 +355,7 @@ def _controlled_swaps(control, state: PureState, columns) -> PureState:
 
 def _circuit_fits(m: int, n: int) -> bool:
     """Whether m control qubits and two n-qubit copies fit the simulated register."""
-    return m + 2 * n <= FULL_JOINT_MAX_QUBITS
+    return m + 2 * n <= CIRCUIT_MAX_QUBITS
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,9 @@ Pulse = Union[Rotation, IsingCoupling]
 class PulseSequence:
     """Ordered pulses (first applied first) over ``register_size`` qubits.
 
-    Every pulse target must lie in the register; the pulses themselves do not
-    check their range.
+    Every pulse must be a ``Rotation`` or an ``IsingCoupling`` and every
+    target must lie in the register; the pulses themselves do not check their
+    range.
     """
 
     pulses: tuple[Pulse, ...]
@@ -133,6 +134,8 @@ class PulseSequence:
         targets += rotated
         if not (typed and min(targets, default=0) >= 0 and max(targets, default=0) < size):
             for p in pulses:
+                if not isinstance(p, (Rotation, IsingCoupling)):
+                    raise ValueError(f"pulse {p!r} is not a Rotation or an IsingCoupling")
                 _check_targets("pulse", (p.qubit,) if isinstance(p, Rotation) else p.qubits, size)
 
 

@@ -33,13 +33,13 @@ from qent import (
     q_purity,
     random_product_state,
     random_state,
-    sample_outcomes,
     schmidt_number,
     sequence_unitary,
     subset_purity_circuit,
     subset_purity_exact,
     swap_sequence,
     swap_test_post_state,
+    tally_outcomes,
     three_body_sequence,
     w_state,
     zzz_unitary,
@@ -246,8 +246,8 @@ def test_criterion_10_marginal_vs_joint():
     n_trials = 10_000
     states = {"ghz3": ghz_state(3), "random3": random_state(3, np.random.default_rng(10))}
     for name, state in states.items():
-        outcomes = sample_outcomes(ProtocolRun(state, n_trials, 17, MODE_FULL_JOINT))
-        freq = outcomes.mean(axis=0)
+        tally = tally_outcomes(ProtocolRun(state, n_trials, 17, MODE_FULL_JOINT))
+        freq = tally.minus_counts / n_trials
         p = minus_probabilities(state)
         bound = 4 * np.sqrt(p * (1 - p) / n_trials)
         for k in range(3):

@@ -6,9 +6,11 @@ ValueError at every entry point instead of being truncated or failing later
 with a TypeError.  A seed is such an integer >= 0 (``states._check_seed``),
 and every random generator is built from one by ``states._generator``.  Every
 qubit cap raises through ``states._check_cap``, and no other module writes a
-cap message, its own finiteness test or its own seed rule.
+cap message, its own finiteness test or its own seed rule.  Outcomes are
+drawn in one place, ``protocol.tally_outcomes``.
 """
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -44,7 +46,7 @@ from qent import (
     zzz_unitary,
 )
 from qent.measures import DIRECT_MAX_QUBITS
-from qent.protocol import FULL_JOINT_MAX_QUBITS, JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
+from qent.protocol import CIRCUIT_MAX_QUBITS, JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
 from qent.pulses import UNITARY_MAX_QUBITS
 from qent.states import MAX_QUBITS
 
@@ -115,8 +117,8 @@ CAPS = {
         JOINT_MODE_MAX_QUBITS,
     ),
     # one control qubit and two copies of 7 qubits
-    "FULL_JOINT_MAX_QUBITS": (
-        lambda: subset_purity_circuit(ghz_state(7), [0]), FULL_JOINT_MAX_QUBITS
+    "CIRCUIT_MAX_QUBITS": (
+        lambda: subset_purity_circuit(ghz_state(7), [0]), CIRCUIT_MAX_QUBITS
     ),
 }
 
@@ -225,3 +227,18 @@ def test_input_rules_live_in_states(module):
         for rule in ("exceeds the cap", "math.isfinite", "numbers.Real", "numbers.Integral",
                      "def _check_seed", "np.random.default_rng("):
             assert rule not in text, f"{module.name} writes its own {rule!r} rule"
+
+
+def test_outcomes_are_drawn_only_by_tally_outcomes():
+    # every estimator, report and command reads one draw; per-trial oracles live in the tests
+    draws = ("choice", "random", "multinomial", "binomial")
+    found = set()
+    for module in sorted(Path(qent.__file__).parent.glob("*.py")):
+        for statement in ast.parse(module.read_text()).body:
+            found |= {
+                (module.name, getattr(statement, "name", None))
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in draws
+            }
+    assert found == {("protocol.py", "tally_outcomes")}

@@ -23,7 +23,6 @@ from qent import (
     q_purity,
     random_product_state,
     random_state,
-    sample_outcomes,
     subset_purity_circuit,
     subset_purity_exact,
     swap_test_post_state,
@@ -172,14 +171,15 @@ class TestSampling:
 
     def test_same_seed_is_bit_identical(self):
         run = ProtocolRun(w_state(3), 5000, 42)
-        assert np.array_equal(sample_outcomes(run), sample_outcomes(run))
         a = q_protocol_sampled(run)
         b = q_protocol_sampled(ProtocolRun(w_state(3), 5000, 42))
         assert a == b
 
     def test_joint_mode_same_seed_identical(self):
         run = ProtocolRun(ghz_state(2), 3000, 5, MODE_FULL_JOINT)
-        assert np.array_equal(sample_outcomes(run), sample_outcomes(run))
+        a, b = tally_outcomes(run), tally_outcomes(run)
+        assert np.array_equal(a.minus_counts, b.minus_counts)
+        assert np.array_equal(a.count_histogram, b.count_histogram)
 
     def test_unbiased_over_seeds(self):
         state = w_state(3)
@@ -195,8 +195,8 @@ class TestSampling:
     def test_joint_marginals_match_exact_probabilities(self):
         state = ghz_state(3)
         n_trials = 10_000
-        outcomes = sample_outcomes(ProtocolRun(state, n_trials, 11, MODE_FULL_JOINT))
-        freq = outcomes.mean(axis=0)
+        tally = tally_outcomes(ProtocolRun(state, n_trials, 11, MODE_FULL_JOINT))
+        freq = tally.minus_counts / n_trials
         p = minus_probabilities(state)
         bounds = 4 * np.sqrt(p * (1 - p) / n_trials)
         assert np.all(np.abs(freq - p) <= bounds)
@@ -282,7 +282,6 @@ class TestJointTable:
         monkeypatch.setattr(protocol, "_controlled_swaps", forbidden)
         run = ProtocolRun(ghz_state(3), 1000, 1, MODE_FULL_JOINT)
         tally_outcomes(run)
-        sample_outcomes(run)
 
 
 def one_shot_outcomes(run: ProtocolRun) -> np.ndarray:
@@ -366,11 +365,10 @@ class TestOutcomeBlocks:
         return request.param
 
     def test_stream_equals_one_shot_draw(self, stream, run):
-        # one draw of all trials reads the generator as any block stream does
-        outcomes = sample_outcomes(run)
-        assert outcomes.dtype == bool
-        assert np.array_equal(outcomes, one_shot_outcomes(run))
-        assert np.array_equal(outcomes, stream)
+        # the per-trial oracle reads the generator in blocks as in one draw,
+        # so every block size below names the same stream
+        assert stream.dtype == bool
+        assert np.array_equal(stream, one_shot_outcomes(run))
 
     def test_tally_counts_the_stream(self, stream, run):
         # the tally is the count of some T-trial stream; a drawn stream's own

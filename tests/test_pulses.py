@@ -115,6 +115,17 @@ class TestPulseUnitary:
         with pytest.raises(ValueError, match=r"pulse targets \(2,\) invalid for a 2-qubit"):
             PulseSequence((Rotation("x", 0.1, 0), Tagged("x", 0.1, 2, "a")), 2)
 
+    @dataclasses.dataclass(frozen=True)
+    class LooksLikeACoupling:
+        angle: float = 0.1
+        qubits: tuple = (0, 1)
+
+    @pytest.mark.parametrize("pulse", [1, "x", None, LooksLikeACoupling()],
+                             ids=["int", "str", "none", "duck-typed"])
+    def test_non_pulses_are_rejected(self, pulse):
+        with pytest.raises(ValueError, match=r"^pulse .+ is not a Rotation or an IsingCoupling$"):
+            PulseSequence((Rotation("x", 0.1, 0), pulse), 2)
+
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             Rotation("q", 0.1, 0)
