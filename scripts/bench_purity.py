@@ -1,4 +1,4 @@
-"""Purity-layer sweep: single-qubit purity routes and the full-joint distribution over n.
+"""Purity-layer sweep: purity routes, the full-joint distribution and the circuit oracle over n.
 
 Run from the root of each checkout to measure and compare:
 
@@ -11,19 +11,24 @@ and takes the tracemalloc peak of one call of each.  For each n in
 2..--max-joint-n it does the same for a full-joint tally_outcomes run of
 1000 trials, whose cost is that of the joint ancilla distribution; an n the
 checkout's ProtocolRun rejects is recorded with the error and ends that
-sweep.  A state remembers the purities computed on it, so each timed call
-gets a fresh copy of the state, built outside the timed region; the
-``_repeat`` columns time a second call on one state, which reads them back.
---save writes the per-qubit p(-) vectors to an .npz file; --reference reads
-such a file and records the largest difference from it for every n, so a
-second checkout can be checked for the same output.  The labelled section
-(with the command, interpreter, numpy version and host) is merged into
---out, keeping the other sections.
+sweep.  For each n >= 2 and subset size m whose register of m + 2n qubits
+fits CIRCUIT_MAX_QUBITS, it times subset_purity_circuit on the first m
+qubits of a seeded random state and records the largest difference from
+subset_purity_exact over every subset of size m.  A state remembers the
+purities computed on it, so each timed purity call gets a fresh copy of the
+state, built outside the timed region; the ``_repeat`` columns time a second
+call on one state, which reads them back.  --save writes the per-qubit p(-)
+vectors and the circuit purities to an .npz file; --reference reads such a
+file and records the largest difference from it for every row, so a second
+checkout can be checked for the same output.  The labelled section (with the
+command, interpreter, numpy version and host) is merged into --out, keeping
+the other sections.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +40,16 @@ from qent import (
     minus_probabilities,
     q_purity,
     random_state,
+    subset_purity_circuit,
+    subset_purity_exact,
     tally_outcomes,
 )
-from qent.protocol import JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
+from qent.protocol import CIRCUIT_MAX_QUBITS, JOINT_MODE_MAX_QUBITS, MODE_FULL_JOINT
 
 MIN_N = 4
 MIN_JOINT_N = 2
 JOINT_TRIALS = 1000
+MIN_CIRCUIT_N = 2
 
 
 def _repeats(n: int) -> int:
@@ -86,6 +94,23 @@ def _joint_row(n: int) -> dict:
     return row
 
 
+def _circuit_row(n: int, m: int, reference) -> tuple[dict, np.ndarray]:
+    state = random_state(n, 200 + n)
+    row = {"n": n, "m": m, "qubits": m + 2 * n}
+    row["subset_purity_circuit"] = sweep.timed(
+        lambda: subset_purity_circuit(state, range(m)), 7, peak="mib"
+    )
+    subsets = list(itertools.combinations(range(n), m))
+    circuit = np.array([subset_purity_circuit(state, s) for s in subsets])
+    exact = np.array([subset_purity_exact(state, s) for s in subsets])
+    row["max_abs_diff_vs_exact"] = float(np.max(np.abs(circuit - exact)))
+    if reference is not None:
+        row["max_abs_diff_vs_reference"] = float(
+            np.max(np.abs(circuit - reference[f"circuit_n{n}_m{m}"]))
+        )
+    return row, circuit
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="Section name, e.g. before or after.")
@@ -108,6 +133,15 @@ def main() -> None:
               f"minus_probabilities {row['minus_probabilities']['median_s'] * 1e3:9.3f} ms "
               f"(repeat {row['minus_probabilities_repeat']['median_s'] * 1e3:7.3f})  "
               f"diff vs reference {row.get('max_abs_diff_vs_reference', '-')}", flush=True)
+    circuit_rows = []
+    for n in range(MIN_CIRCUIT_N, (CIRCUIT_MAX_QUBITS - 1) // 2 + 1):
+        for m in range(1, min(n, CIRCUIT_MAX_QUBITS - 2 * n) + 1):
+            row, saved[f"circuit_n{n}_m{m}"] = _circuit_row(n, m, reference)
+            circuit_rows.append(row)
+            print(f"circuit n={n} m={m}  subset_purity_circuit "
+                  f"{row['subset_purity_circuit']['median_s'] * 1e3:8.3f} ms  "
+                  f"diff vs exact {row['max_abs_diff_vs_exact']:.2e}  "
+                  f"diff vs reference {row.get('max_abs_diff_vs_reference', '-')}", flush=True)
     if args.save:
         np.savez(args.save, **saved)
     joint_rows = []
@@ -125,7 +159,8 @@ def main() -> None:
     command += f" --max-n {args.max_n} --max-joint-n {args.max_joint_n}"
     if args.reference:
         command += f" --reference {Path(args.reference).name}"
-    sweep.write_section(args.out, args.label, command, purity=purity_rows, full_joint=joint_rows)
+    sweep.write_section(args.out, args.label, command, purity=purity_rows, full_joint=joint_rows,
+                        circuit=circuit_rows)
 
 
 if __name__ == "__main__":

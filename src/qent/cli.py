@@ -89,6 +89,8 @@ def main():
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def gen(kind: str, n: int, seed: int | None, out: str | None):
     """Write a state file for a named state family."""
+    if seed is not None and kind not in ("product", "random"):
+        raise ValueError("--seed only applies to the product and random kinds")
     if kind == "ghz":
         state = states.ghz_state(n)
     elif kind == "w":

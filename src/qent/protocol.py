@@ -24,9 +24,10 @@ Full-joint mode is capped at n = 13, where the table takes about 0.4 s.
 ``subset_purities`` remembers the purities it computes on each state, so the
 exact Q, the sampled runs and ``subset_purity_exact`` on one state object
 compute each subset once between them.
-``subset_purity_circuit`` simulates the (|S| + 2n)-qubit circuit instead
-and serves only as an oracle; the tests build the 3n-qubit circuit oracle
-of the joint distribution on the same ``_controlled_swaps``.
+``subset_purity_circuit`` simulates the (|S| + 2n)-qubit circuit instead,
+as an oracle: the pulse kernel runs its compiled c-SWAPs on the state
+vector.  The tests build the 3n-qubit circuit oracle of the joint
+distribution on the same ``_controlled_swaps``.
 
 Sampling is seed-deterministic: ``states._check_seed`` parses a run's seed
 and ``states._generator`` builds its one PCG64 stream, so a seed fixes the
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _check_measurable
-from .pulses import canonical_cswap
+from .pulses import _apply_pulses, cswap_sequence
 from .states import (
     DensityMatrix,
     PureState,
@@ -60,7 +61,6 @@ from .states import (
     _integer,
     _norm2,
     _subset_index,
-    apply_unitary,
     check_subset,
     subset_purities,
 )
@@ -69,10 +69,10 @@ MODE_EXACT_MARGINAL = "exact-marginal"
 MODE_FULL_JOINT = "full-joint"
 MODES = (MODE_EXACT_MARGINAL, MODE_FULL_JOINT)
 
-# dense-vector bound of the circuit simulation in _controlled_swaps: its
-# control register and both copies form one vector (the subset_purity_circuit
-# oracle and the tests' joint-distribution circuit; full-joint mode has its
-# own cap, JOINT_MODE_MAX_QUBITS)
+# register bound of the circuit simulation in _controlled_swaps, whose control
+# register and two copies form one vector; its cost is the pulse program's time,
+# 51 pulses per column over that vector (about 22 ms at m = 4, n = 5,
+# BENCH_purity.json); full-joint mode has its own cap, JOINT_MODE_MAX_QUBITS
 CIRCUIT_MAX_QUBITS = 14
 
 # full-joint mode reads a table of all 2^n subset purities, which takes about
@@ -86,10 +86,6 @@ MIN_OUTCOME_PROBABILITY = 1e-12
 # Binomial(N, 1/2) draws their sd is sqrt(N/4) times 1.000 at N = 2**60,
 # about 1.01 at 2**61 and 1.04 at 2**62 (numpy 2.4)
 MAX_TRIALS = 2**60
-
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 @dataclass(frozen=True)
@@ -309,48 +305,44 @@ def subset_purity_exact(state: PureState, subset) -> float:
 
 
 def subset_purity_circuit(state: PureState, subset) -> float:
-    """Tr[rho_subset^2] from the full entangled-control circuit.
+    """Tr[rho_subset^2] from the full entangled-control circuit, run as pulses.
 
-    A register of m = |subset| control qubits is steered into a GHZ state by
-    a CNOT ladder from (|0> + |1>)/sqrt(2) (x) |0...0>, one c-SWAP acts per
-    subset column, the ladder is undone, and control qubit 0 is read in the
-    sigma_x basis; then Tr[rho_subset^2] = 2 p(+) - 1.
+    A register of m = |subset| control qubits starts in the GHZ state
+    (|0...0> + |1...1>)/sqrt(2), the compiled c-SWAP acts on each subset
+    column, and the controls are measured in sigma_x^(x)m; then
+    Tr[rho_subset^2] = <sigma_x^(x)m>.  Reversing the control index flips
+    every control bit, so that expectation is <j|j reversed> over the rows j
+    of the control index.
     """
     subset = check_subset(subset, state.n_qubits)
     m = len(subset)
 
-    def ghz_control() -> PureState:
+    def ghz_control() -> np.ndarray:
         amps = np.zeros(2**m, dtype=complex)
-        amps[0] = amps[2 ** (m - 1)] = 1 / np.sqrt(2)
-        control = PureState(m, amps)
-        for k in range(1, m):
-            control = apply_unitary(control, _CNOT, [k - 1, k])
-        return control
+        amps[0] = amps[-1] = 1 / np.sqrt(2)
+        return amps
 
-    joint = _controlled_swaps(ghz_control, state, subset)
-    for k in range(m - 1, 0, -1):
-        joint = apply_unitary(joint, _CNOT, [k - 1, k])
-    t = joint.tensor()
-    plus_component = (t[0] + t[1]) / np.sqrt(2)
-    p_plus = float(np.sum(np.abs(plus_component) ** 2))
-    return 2.0 * p_plus - 1.0
+    j = _controlled_swaps(ghz_control, state, subset).amplitudes.reshape(2**m, -1)
+    return float(np.vdot(j, j[::-1]).real)
 
 
 def _controlled_swaps(control, state: PureState, columns) -> PureState:
     """control() (x) psi (x) psi after a c-SWAP of copy qubits ``columns[j]`` under control j.
 
-    ``control`` builds the len(columns)-qubit control register once the whole
-    register is known to fit.  The two copies are divided by their norm: psi of
-    squared norm 1 +- 0.9e-10 passes ``PureState``, but psi (x) psi would not.
+    ``control`` builds the amplitudes of the len(columns)-qubit control
+    register once the whole register is known to fit.  The two copies are
+    divided by their norm: psi of squared norm 1 +- 0.9e-10 passes
+    ``PureState``, but psi (x) psi would not.  Each c-SWAP is the compiled
+    ``cswap_sequence``, run by the pulse kernel, so the result carries its
+    global phase e^{-i pi/8} once per column.
     """
     m, n = len(columns), state.n_qubits
     _check_cap("circuit simulation", m + 2 * n, "CIRCUIT_MAX_QUBITS", CIRCUIT_MAX_QUBITS,
                "its control register and two copies of the state form one dense vector")
     doubled = np.kron(state.amplitudes, state.amplitudes)
-    joint = PureState(m + 2 * n, np.kron(control().amplitudes, doubled / np.sqrt(_norm2(doubled))))
-    for j, qubit in enumerate(columns):
-        joint = apply_unitary(joint, canonical_cswap(0, 1, 2, 3), [j, m + qubit, m + n + qubit])
-    return joint
+    register = np.kron(control(), doubled / np.sqrt(_norm2(doubled)))
+    swaps = [p for j, q in enumerate(columns) for p in cswap_sequence(j, m + q, m + n + q).pulses]
+    return PureState(m + 2 * n, _apply_pulses(register, swaps))
 
 
 def _circuit_fits(m: int, n: int) -> bool:

@@ -7,7 +7,8 @@ the state tensor with its conjugate by np.tensordot rather than the
 library's Gram-matrix kernel, the cluster amplitudes come from expanding the
 operator-tagged product form term by term, and pulse matrices are
 cross-checked against scipy's expm.  The joint ancilla distribution is
-simulated gate by gate on the full 3n-qubit register, not read from the
+simulated on the full 3n-qubit register, its c-SWAPs as the package's
+compiled pulse sequences and its Hadamards as gates, not read from the
 subset-purity table the samplers use.
 """
 
@@ -81,11 +82,11 @@ def joint_outcome_distribution(state: PureState) -> np.ndarray:
     """Exact joint distribution of the n ancilla bits (index bit j = ancilla j).
 
     Simulates the full 3n-qubit protocol: ancillas in |+>^n, two copies of
-    the state, a c-SWAP per column, then a Hadamard on each ancilla so that
-    the computational bit 1 marks the sigma_x minus outcome.
+    the state, a compiled c-SWAP per column, then a Hadamard on each ancilla
+    so that the computational bit 1 marks the sigma_x minus outcome.
     """
     n = state.n_qubits
-    joint = _controlled_swaps(lambda: PureState(n, np.full(2**n, 2 ** (-n / 2))), state, range(n))
+    joint = _controlled_swaps(lambda: np.full(2**n, 2 ** (-n / 2)), state, range(n))
     for j in range(n):
         joint = apply_unitary(joint, _HADAMARD, [j])
     weights = np.abs(joint.tensor()) ** 2

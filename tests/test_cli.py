@@ -65,6 +65,12 @@ class TestGen:
         doc = json.loads(plain.output)
         assert doc["amplitudes"][0] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("kind", ["ghz", "w", "cluster"])
+    def test_seed_rejected_for_unseeded_kinds(self, runner, kind):
+        result = invoke(runner, "gen", kind, "--n", 3, "--seed", 5)
+        assert result.exit_code == 1
+        assert result.output == "error: --seed only applies to the product and random kinds\n"
+
     def test_invalid_n_fails(self, runner):
         result = invoke(runner, "gen", "ghz", "--n", 1)
         assert result.exit_code == 1

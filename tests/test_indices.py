@@ -7,7 +7,8 @@ with a TypeError.  A seed is such an integer >= 0 (``states._check_seed``),
 and every random generator is built from one by ``states._generator``.  Every
 qubit cap raises through ``states._check_cap``, and no other module writes a
 cap message, its own finiteness test or its own seed rule.  Outcomes are
-drawn in one place, ``protocol.tally_outcomes``.
+drawn in one place, ``protocol.tally_outcomes``, and states are propagated by
+one kernel, ``pulses._apply_pulses``.
 """
 
 import ast
@@ -242,3 +243,17 @@ def test_outcomes_are_drawn_only_by_tally_outcomes():
                 and node.func.attr in draws
             }
     assert found == {("protocol.py", "tally_outcomes")}
+
+
+def test_states_propagate_only_through_the_pulse_kernel():
+    # the circuit oracle runs the compiled c-SWAP; dense gates stay verification targets
+    found = set()
+    for module in sorted(Path(qent.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "apply_unitary" or (
+                    module.name == "protocol.py" and str(name).startswith("canonical_")
+                ):
+                    found.add((module.name, name))
+    assert found == set()

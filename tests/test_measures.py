@@ -433,3 +433,27 @@ class TestSchmidt:
             schmidt_spectrum(state, [])
         with pytest.raises(ValueError):
             schmidt_spectrum(state, [0, 1, 2])
+
+
+class TestMonotonicity:
+    """Q is an entanglement monotone: no local measurement raises it on average.
+
+    A random two-outcome measurement on one qubit has Kraus operators
+    U sqrt(D) V and U' sqrt(1 - D) V with Haar U, U', V and a random diagonal
+    0 <= D <= 1 (Vidal, J. Mod. Opt. 47, 355 (2000)).
+    """
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_local_measurement_does_not_raise_q_on_average(self, rng, n):
+        for state in (ghz_state(n), w_state(n), cluster_state(n), random_state(n, rng)):
+            before = q_purity(state)
+            for _ in range(15):
+                k = int(rng.integers(n))
+                d, v = rng.random(2), haar_unitary(2, rng)
+                after = 0.0
+                for weights in (np.sqrt(d), np.sqrt(1 - d)):
+                    kraus = haar_unitary(2, rng) @ (weights[:, None] * v)
+                    t = np.moveaxis(np.tensordot(kraus, state.tensor(), axes=(1, k)), 0, k)
+                    p = np.vdot(t, t).real
+                    after += p * q_purity(PureState(n, t.reshape(-1) / np.sqrt(p)))
+                assert after <= before + 1e-9

@@ -11,6 +11,8 @@ from qent import (
     DensityMatrix,
     ProtocolRun,
     PureState,
+    apply_unitary,
+    canonical_cswap,
     cluster_state,
     convergence_sweep,
     copy_marginal,
@@ -36,6 +38,7 @@ from qent.protocol import (
     MAX_TRIALS,
     MODES,
     OutcomeTally,
+    _controlled_swaps,
     _swap_operator,
     run_report,
     sweep_csv,
@@ -498,16 +501,33 @@ class TestSubsetPurity:
                 circuit = subset_purity_circuit(state, subset)
                 assert abs(direct - circuit) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_compiled_swaps_equal_the_gates_times_their_phase(self, rng, n):
+        # each compiled c-SWAP is the canonical gate times e^{-i pi/8}; every
+        # column set fits, as m + 2n <= 12 < CIRCUIT_MAX_QUBITS
+        state = random_state(n, rng)
+        doubled = np.kron(state.amplitudes, state.amplitudes)
+        for m in range(1, n + 1):
+            for columns in itertools.combinations(range(n), m):
+                control = random_state(m, rng).amplitudes
+                reference = PureState(m + 2 * n, np.kron(control, doubled))
+                for j, q in enumerate(columns):
+                    reference = apply_unitary(reference, canonical_cswap(0, 1, 2, 3),
+                                              [j, m + q, m + n + q])
+                got = _controlled_swaps(lambda: control, state, columns).amplitudes
+                want = reference.amplitudes * np.exp(-1j * np.pi * m / 8)
+                assert np.max(np.abs(got - want)) < 1e-13
+
     def test_rejects_empty_subset(self, rng):
         with pytest.raises(ValueError):
             subset_purity_exact(random_state(2, rng), [])
 
     def test_circuit_rejects_oversized_problem(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran before the size check")
+            raise AssertionError("a pulse ran before the size check")
 
         state = random_state(7, rng)  # 2 + 14 > 14
-        monkeypatch.setattr(protocol, "apply_unitary", forbidden)
+        monkeypatch.setattr(protocol, "_apply_pulses", forbidden)
         with pytest.raises(ValueError, match="circuit"):
             subset_purity_circuit(state, [0, 1])
 
